@@ -137,12 +137,11 @@ def cmd_bounds(args) -> int:
 
 def cmd_paper_suite(args) -> int:
     sections = args.section if args.section else None
-    checks = run_suite(sections=sections, budget=args.budget,
-                       include_stretch=args.stretch)
+    checks = run_suite(sections=sections, budget=args.budget)
     if args.json:
         payload = [
             {"item": c.item, "name": c.name, "expected": c.expected,
-             "computed": c.computed, "ok": c.ok, "stretch": c.stretch}
+             "computed": c.computed, "ok": c.ok}
             for c in checks
         ]
         print(json.dumps(payload, sort_keys=True))
@@ -163,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="input/output format (default: by file extension)")
         p.add_argument("--json", action="store_true", help="machine output")
         p.add_argument("--deterministic", action="store_true",
-                       help="single worker, no timing fields in output")
+                       help="no timing fields in output")
         if with_budget:
             p.add_argument("--budget", type=float, default=default_budget(),
                            help="per-solve time budget in seconds")
@@ -202,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper-suite", help="recompute the recorded results table")
     p.add_argument("--section", type=int, action="append",
                    help="run only this item (repeatable)")
-    p.add_argument("--stretch", action="store_true",
-                   help="include long-running stretch items (never failing)")
     common(p)
     p.set_defaults(fn=cmd_paper_suite)
     return parser

@@ -17,7 +17,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .graphs import Graph, VertexSet, bits_of, metrics, square
 from .independence import (
     _as_mask,
-    _outside_parity_ok,
     alpha_square,
     is_odd_independent,
     odd_independent_set_masks,

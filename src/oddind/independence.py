@@ -3,17 +3,24 @@
 An odd independent set (OIS) is an independent set ``S`` such that every
 vertex outside ``S`` sees either zero or an odd number of members of ``S``.
 The parity condition is not hereditary under taking subsets, so the exact
-search below branches over the hereditary envelope (independent sets) and
-tests parity on each candidate it materializes.  Two sound mid-branch cuts
-exist and are both used:
+search below branches over the hereditary envelope (independent sets).  Each
+node carries two bitsets of the chosen rows: ``odd``, their XOR (the vertices
+with an odd count), and ``seen``, their OR (the vertices with a positive
+count).  A chosen independent set is an OIS iff ``seen & ~odd == 0``, so each
+child is tested in O(1) big-int operations.  Three sound cuts prune it:
 
-* no OIS contains a *forbidden pair* (nonadjacent ``x, y`` with a common
-  neighbor ``z`` whose closed neighborhood lies inside ``N[x] + N[y]``) nor
-  a *forcing pair*, so partners of a chosen vertex are dropped from the
-  candidate pool;
-* global upper bounds: the independence number, the even-degree regular
-  bound ``(d-1)/(2d-1) * n``, and the common-neighbor-floor bounds for
-  regular graphs.
+* pair cuts: no OIS contains a *forbidden pair* (nonadjacent ``x, y`` with a
+  common neighbor ``z`` whose closed neighborhood lies inside
+  ``N[x] + N[y]``) nor a *forcing pair*, so partners of a chosen vertex are
+  dropped from the candidate pool;
+* bounds: a greedy clique cover of the pool bounds what the subtree can
+  add, and the global upper bounds stop the search once met: the
+  independence number, the even-degree regular bound
+  ``(d-1)/(2d-1) * n``, and the common-neighbor-floor bounds for regular
+  graphs;
+* parity doom: a vertex in ``seen & ~odd`` (even, positive count) with no
+  neighbor left in the pool keeps an even count in every set of the
+  subtree, and cannot join one because it is adjacent to the chosen set.
 
 Lower-bound seeds come from a maximum independent set of the square (always
 an OIS), from a bipartition class when all degrees are odd, and from odd
@@ -68,17 +75,17 @@ def is_odd_independent(g: Graph, s) -> bool:
     mask = _as_mask(g, s)
     if not is_independent(g, mask):
         return False
-    return _outside_parity_ok(g.adj, g.n, mask)
+    return _outside_parity_ok(g.adj, mask)
 
 
-def _outside_parity_ok(rows, n, mask) -> bool:
-    for v in range(n):
-        if mask >> v & 1:
-            continue
-        c = (rows[v] & mask).bit_count()
-        if c and not c & 1:
-            return False
-    return True
+def _outside_parity_ok(rows, mask) -> bool:
+    # ``odd`` holds the vertices with an odd count, ``seen`` those with a
+    # positive one; a vertex outside ``mask`` in ``seen & ~odd`` is even
+    odd = seen = 0
+    for v in bits_of(mask):
+        odd ^= rows[v]
+        seen |= rows[v]
+    return seen & ~odd & ~mask == 0
 
 
 def odd_profile(g: Graph, s) -> List[int]:
@@ -218,30 +225,33 @@ class _CliqueSolver:
             P &= ~bit
 
 
+def _relabel(mask, new_id) -> int:
+    """Image of ``mask`` under the vertex map ``v -> new_id[v]``."""
+    out = 0
+    for v in bits_of(mask):
+        out |= 1 << new_id[v]
+    return out
+
+
+def _inverse(order) -> List[int]:
+    """``pos`` with ``pos[order[i]] == i``: relabel by it to renumber by ``order``."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return pos
+
+
 def _max_clique(rows, n, deadline, seed_mask=0):
     if n == 0:
         return 0, 0, 0, True, 0
     # renumber by decreasing degree for tighter colorings
     order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    perm_rows = [0] * n
-    for v in range(n):
-        row = 0
-        for u in bits_of(rows[v]):
-            row |= 1 << pos[u]
-        perm_rows[pos[v]] = row
-    solver = _CliqueSolver(perm_rows, n, deadline)
+    pos = _inverse(order)
+    solver = _CliqueSolver([_relabel(rows[v], pos) for v in order], n, deadline)
     if seed_mask:
-        perm_seed = 0
-        for v in bits_of(seed_mask):
-            perm_seed |= 1 << pos[v]
-        solver.seed(perm_seed)
+        solver.seed(_relabel(seed_mask, pos))
     solver.run()
-    back = 0
-    for i in bits_of(solver.best_mask):
-        back |= 1 << order[i]
+    back = _relabel(solver.best_mask, order)
     return solver.best, back, solver.nodes, not solver.timed_out, solver.root_bound
 
 
@@ -294,9 +304,25 @@ def independent_set_masks(g: Graph, within: Optional[int] = None) -> Iterator[in
 
 
 def odd_independent_set_masks(g: Graph) -> List[int]:
-    """All OIS masks (exponential; meant for small graphs)."""
-    return [m for m in independent_set_masks(g)
-            if _outside_parity_ok(g.adj, g.n, m)]
+    """All OIS masks (exponential; meant for small graphs).
+
+    Walks the independent sets like ``independent_set_masks`` and carries
+    the parity bitsets of the chosen rows, so each set is tested in O(1).
+    """
+    rows = g.adj
+    out: List[int] = []
+
+    def rec(s, p, odd, seen):
+        if seen & ~odd == 0:
+            out.append(s)
+        while p:
+            bit = p & -p
+            row = rows[bit.bit_length() - 1]
+            p ^= bit
+            rec(s | bit, p & ~row, odd ^ row, seen | row)
+
+    rec(0, g.full_mask, 0, 0)
+    return out
 
 
 def alpha_od_bruteforce(g: Graph) -> SolveResult:
@@ -307,69 +333,105 @@ def alpha_od_bruteforce(g: Graph) -> SolveResult:
     for mask in range(1 << g.n):
         if mask.bit_count() <= best:
             continue
-        if is_independent(g, mask) and _outside_parity_ok(g.adj, g.n, mask):
+        if is_independent(g, mask) and _outside_parity_ok(g.adj, mask):
             best, best_mask = mask.bit_count(), mask
     return SolveResult(best, VertexSet(g.n, best_mask), BRUTE_FORCE)
 
 
-def _clique_cover_bound(rows, P) -> int:
-    count = 0
+def _cover_fits(rows, P, k) -> bool:
+    """Whether the greedy clique cover of ``P`` uses at most ``k`` cliques.
+
+    The cover bounds any independent subset of ``P``; it stops as soon as
+    it needs a clique more than ``k``.
+    """
     Q = P
     while Q:
+        if k <= 0:
+            return False
+        k -= 1
         bit = Q & -Q
-        v = bit.bit_length() - 1
         clique = bit
-        cand = Q & rows[v]
+        cand = Q & rows[bit.bit_length() - 1]
         while cand:
             b2 = cand & -cand
-            u = b2.bit_length() - 1
             clique |= b2
-            cand &= rows[u]
+            cand &= rows[b2.bit_length() - 1]
         Q &= ~clique
-        count += 1
-    return count
+    return k >= 0
+
+
+def _doomed(rows, even, p) -> bool:
+    """Parity doom: some vertex of ``even`` has no neighbor in ``p``.
+
+    ``even`` holds the vertices whose count is even and positive.  Such a
+    vertex is adjacent to the chosen set, so it never joins it, and with no
+    neighbor in ``p`` its count stays even in every set of the subtree.
+    """
+    while even:
+        low = even & -even
+        if not rows[low.bit_length() - 1] & p:
+            return True
+        even ^= low
+    return False
 
 
 class _OisSearch:
+    """Branch and bound over the independent sets, in ``order``.
+
+    The vertices are renumbered once so that ``order[i]`` is vertex ``i``;
+    walking the bits of the candidate pool from the lowest then follows
+    ``order``.  Each node carries ``odd`` (XOR of the chosen rows: the
+    vertices with an odd count) and ``seen`` (OR of the chosen rows: those
+    with a positive count), so a chosen set is an OIS iff
+    ``seen & ~odd == 0``; an independent set never meets ``seen``.
+    """
+
     def __init__(self, g: Graph, bad_rows, order, deadline, best_mask, upper):
-        self.rows = g.adj
-        self.n = g.n
-        self.bad = bad_rows
         self.order = order
+        pos = _inverse(order)
+        self.rows = [_relabel(g.adj[v], pos) for v in order]
+        self.bad = [_relabel(bad_rows[v], pos) for v in order]
+        self.n = g.n
         self.deadline = deadline
-        self.best_mask = best_mask
+        self.best_mask = _relabel(best_mask, pos)
         self.best = best_mask.bit_count()
         self.upper = upper
         self.nodes = 0
         self.timed_out = False
 
     def run(self):
-        self._expand(0, (1 << self.n) - 1)
+        self._expand(0, (1 << self.n) - 1, 0, 0)
+        self.best_mask = _relabel(self.best_mask, self.order)
 
-    def _expand(self, s, p):
+    def _expand(self, s, p, odd, seen):
         self.nodes += 1
         if self.nodes & 1023 == 0 and self.deadline.expired():
             self.timed_out = True
             return
         if self.best >= self.upper:
             return
-        size = s.bit_count()
-        if size + _clique_cover_bound(self.rows, p) <= self.best:
+        rows = self.rows
+        even = seen & ~odd
+        if _doomed(rows, even, p):
             return
-        for v in self.order:
-            bit = 1 << v
-            if not p & bit:
-                continue
-            p &= ~bit
-            child_s = s | bit
-            if child_s.bit_count() > self.best and \
-                    _outside_parity_ok(self.rows, self.n, child_s):
-                self.best = child_s.bit_count()
-                self.best_mask = child_s
-            self._expand(child_s, p & ~self.rows[v] & ~self.bad[v])
+        size = s.bit_count()
+        if _cover_fits(rows, p, self.best - size):
+            return
+        bad = self.bad
+        while p:
+            bit = p & -p
+            v = bit.bit_length() - 1
+            p ^= bit
+            row = rows[v]
+            child_odd = odd ^ row
+            child_seen = seen | row
+            if size + 1 > self.best and child_seen & ~child_odd == 0:
+                self.best = size + 1
+                self.best_mask = s | bit
+            self._expand(s | bit, p & ~row & ~bad[v], child_odd, child_seen)
             if self.timed_out:
                 return
-            if size + _clique_cover_bound(self.rows, p) <= self.best:
+            if _doomed(rows, even, p) or _cover_fits(rows, p, self.best - size):
                 return
 
 
@@ -497,7 +559,7 @@ def alpha_od_bounded(g: Graph, k: int) -> SolveResult:
             mask = 0
             for v in combo:
                 mask |= 1 << v
-            if is_independent(g, mask) and _outside_parity_ok(g.adj, g.n, mask):
+            if is_independent(g, mask) and _outside_parity_ok(g.adj, mask):
                 best, best_mask = j, mask
                 break
         # continue downward only while nothing of larger size was found

@@ -1,8 +1,7 @@
 """The built-in reproduction suite: every recorded value checked end to end.
 
 Each item recomputes a family of recorded results with the exact solvers
-and reports expected versus computed.  Stretch items (long exact closes)
-are marked and never fail the suite; every other mismatch does.
+and reports expected versus computed; every mismatch fails the suite.
 """
 
 from __future__ import annotations
@@ -60,14 +59,13 @@ class Check:
     expected: str
     computed: str
     ok: bool
-    stretch: bool = False
     millis: int = 0
 
 
-def _check(item, name, expected, computed, ok=None, stretch=False) -> Check:
+def _check(item, name, expected, computed, ok=None) -> Check:
     if ok is None:
         ok = expected == computed
-    return Check(item, name, str(expected), str(computed), bool(ok), stretch)
+    return Check(item, name, str(expected), str(computed), bool(ok))
 
 
 # -- item 1: paths and cycles ---------------------------------------------------
@@ -185,20 +183,11 @@ def item_hypercubes(budget=None) -> List[Check]:
                       ok=len(s24) == 24 and is_odd_independent(q6, s24)))
     ub6 = Fraction(5 * 64, 11).__floor__()
     out.append(_check(4, "Q_6 even-regular upper bound", 29, ub6))
+    r6 = alpha_od(q6, budget=budget)
+    out.append(_check(4, "alpha-od(Q_6) exact", 24,
+                      r6.value if r6.exact else f"open, interval [{r6.lower}, {r6.upper}]",
+                      ok=r6.exact and r6.value == 24 and is_odd_independent(q6, r6.witness)))
     return out
-
-
-def item_q6_stretch(budget=None) -> List[Check]:
-    budget = 600.0 if budget is None else budget
-    res = alpha_od(gen.hypercube(6), budget=budget)
-    if res.exact:
-        return [_check(4, "stretch: alpha-od(Q_6) exact close", 24, res.value,
-                       stretch=True)]
-    # a budget timeout is an expected, non-failing outcome for this item
-    return [_check(4, "stretch: alpha-od(Q_6) exact close",
-                   "exact value (10 min budget)",
-                   f"open, interval [{res.lower}, {res.upper}]",
-                   ok=True, stretch=True)]
 
 
 # -- item 5: complete subdivisions ---------------------------------------------------
@@ -508,11 +497,8 @@ ITEMS: Dict[int, Callable] = {
     12: item_cubic_census,
 }
 
-STRETCH_ITEMS: Dict[int, Callable] = {4: item_q6_stretch}
 
-
-def run_suite(sections: Optional[Sequence[int]] = None, budget=None,
-              include_stretch: bool = False) -> List[Check]:
+def run_suite(sections: Optional[Sequence[int]] = None, budget=None) -> List[Check]:
     wanted = sorted(ITEMS) if sections is None else sorted(set(sections))
     checks: List[Check] = []
     for item in wanted:
@@ -524,22 +510,20 @@ def run_suite(sections: Optional[Sequence[int]] = None, budget=None,
         for c in got:
             c.millis = dt
         checks.extend(got)
-        if include_stretch and item in STRETCH_ITEMS:
-            checks.extend(STRETCH_ITEMS[item](budget))
     return checks
 
 
 def render(checks: Sequence[Check], deterministic: bool = False) -> str:
     lines = []
     for c in checks:
-        status = "ok" if c.ok else ("stretch-open" if c.stretch else "MISMATCH")
+        status = "ok" if c.ok else "MISMATCH"
         lines.append(f"[{c.item:2d}] {c.name}: expected {c.expected}; "
                      f"computed {c.computed} [{status}]")
-    failures = [c for c in checks if not c.ok and not c.stretch]
+    failures = [c for c in checks if not c.ok]
     lines.append(f"{len(checks)} checks, {len(failures)} mismatches"
                  + ("" if deterministic else f" ({sum(c.millis for c in checks) // 1000}s)"))
     return "\n".join(lines)
 
 
 def suite_failed(checks: Sequence[Check]) -> bool:
-    return any(not c.ok and not c.stretch for c in checks)
+    return any(not c.ok for c in checks)

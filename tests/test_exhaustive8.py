@@ -1,11 +1,12 @@
-"""Full 8-vertex sweep of the order relations between the parameters."""
+"""Full 8-vertex sweep: the exact solver against brute force, and the order
+relations between the parameters."""
 
 import pytest
 
 from oddind.coloring import chi_so_exact, chi_square
 from oddind.enumeration import all_graphs
 from oddind.graphs import square
-from oddind.independence import alpha, alpha_od
+from oddind.independence import alpha, alpha_od, alpha_od_bruteforce, is_odd_independent
 
 
 @pytest.mark.slow
@@ -18,6 +19,9 @@ def test_sandwich_and_chain_on_all_8_vertex_graphs():
         asq = alpha(sq).value
         aod = alpha_od(g)
         assert aod.exact
+        assert aod.value == alpha_od_bruteforce(g).value
+        assert is_odd_independent(g, aod.witness)
+        assert aod.witness.mask.bit_count() == aod.value
         if not asq <= aod.value <= a:
             sandwich_bad.append(g)
         cso = chi_so_exact(g).value

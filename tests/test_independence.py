@@ -1,3 +1,4 @@
+import random
 from math import ceil
 
 import pytest
@@ -8,6 +9,7 @@ from oddind import generators as gen
 from oddind.graphs import VertexSet, complement, from_edge_list, square
 from oddind.independence import (
     NotClawFree,
+    _outside_parity_ok,
     alpha,
     alpha_od,
     alpha_od_bounded,
@@ -88,7 +90,7 @@ def test_alpha_od_recorded_values():
 def test_solver_equals_bruteforce_small():
     from oddind.enumeration import all_graphs
 
-    for n in range(1, 7):
+    for n in range(1, 8):
         for g in all_graphs(n):
             want = alpha_od_bruteforce(g)
             got = alpha_od(g)
@@ -166,6 +168,35 @@ def test_solver_matches_oracle(g):
     want = alpha_od_bruteforce(g).value
     got = alpha_od(g)
     assert got.exact and got.value == want
+
+
+def _independent_by_definition(g, mask):
+    return all(not (mask >> u & 1 and mask >> v & 1) for u, v in g.edges())
+
+
+def _parity_by_definition(g, mask):
+    """Every vertex outside ``mask`` has 0 or an odd number of neighbors in it."""
+    for v in range(g.n):
+        if not mask >> v & 1:
+            c = (g.adj[v] & mask).bit_count()
+            if c and c % 2 == 0:
+                return False
+    return True
+
+
+def test_parity_kernel_matches_definition():
+    rng = random.Random(20251018)
+    for n in [*range(15)] * 3:
+        p = rng.random()
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p])
+        # every mask on small graphs, random ones (mostly not independent) above
+        masks = range(1 << n) if n <= 10 else [rng.getrandbits(n) for _ in range(3000)]
+        for m in masks:
+            assert _outside_parity_ok(g.adj, m) == _parity_by_definition(g, m), (g.adj, m)
+        want = [m for m in range(1 << n)
+                if _independent_by_definition(g, m) and _parity_by_definition(g, m)]
+        assert sorted(odd_independent_set_masks(g)) == want, g.adj
 
 
 @given(graphs(max_n=8, min_n=1))
