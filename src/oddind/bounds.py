@@ -15,7 +15,15 @@ from math import comb, inf
 from typing import List, Optional, Sequence, Tuple
 
 from .coloring import chi_so_exact, chi_so_upper_from_partition
-from .graphs import BadParam, Graph, bits_of, complement, from_edge_list, metrics, square
+from .graphs import (
+    BadParam,
+    Graph,
+    complement,
+    from_edge_list,
+    girth_at_least_5,
+    metrics,
+    square,
+)
 from .independence import alpha, alpha_od_bounded, is_odd_independent
 from .results import Deadline, SolveResult, default_budget
 
@@ -100,8 +108,9 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
         return report
     a_lo, a_hi = _as_range(alpha_od_value)
     c_lo, c_hi = _as_range(chi_so_value)
-    met = metrics(g)
-    delta = met.max_degree
+    degs = [g.degree(v) for v in range(n)]
+    delta = max(degs)
+    regular = min(degs) == delta
     sq = square(g)
     delta_sq = max((sq.degree(v) for v in range(n)), default=0)
 
@@ -180,10 +189,10 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
     add("caro-wei(square) >= n/(avgdeg*maxdeg+1)", exactr(cw), ">=",
         exactr(Fraction(n, 1) / (avg * delta + 1)), "caro-wei")
 
-    if met.is_regular and delta >= 2 and delta % 2 == 0:
+    if regular and delta >= 2 and delta % 2 == 0:
         add("alpha-od <= (d-1)n/(2d-1)", (a_lo, a_hi), "<=",
             exactr(Fraction((delta - 1) * n, 2 * delta - 1)), "even-regular-upper")
-    if met.is_regular and g.edge_count():
+    if regular and g.edge_count():
         lam = min((g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges())
         if (delta - lam) % 2 == 0:
             add("alpha-od <= (d-L-1)n/(2d-L-1)", (a_lo, a_hi), "<=",
@@ -194,7 +203,7 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
                 exactr(Fraction((delta - lam) * n, 2 * delta - lam)),
                 "common-neighbor-upper", note=f"floor L={lam}, d-L odd")
 
-    if met.girth >= 5 and delta >= 1:
+    if delta >= 1 and girth_at_least_5(g):
         eps = 1 if delta % 2 == 0 else 0
         add("alpha-od >= maxdeg - eps", (a_lo, a_hi), ">=", exactr(delta - eps),
             "girth5-neighborhood")

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, VertexSet, bits_of, metrics, square
+from .graphs import Graph, VertexSet, bits_of, square
 from .independence import (
     _as_mask,
     alpha_square,
     is_odd_independent,
+    lower_bound_seed,
     odd_independent_set_masks,
 )
 from .matching import maximum_matching
-from .results import Deadline, SolveResult, default_budget
+from .results import BudgetExceeded, Deadline, SolveResult, default_budget
 
 
 class AlphaTooLarge(ValueError):
@@ -111,10 +112,6 @@ def _greedy_clique(g: Graph) -> int:
     return best
 
 
-class BudgetUp(Exception):
-    pass
-
-
 def _k_colorable(g: Graph, k: int, deadline: Deadline):
     """A k-coloring as a list, or None; vertices in degree-descending order."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
@@ -125,7 +122,7 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline):
         nonlocal nodes
         nodes += 1
         if nodes & 1023 == 0 and deadline.expired():
-            raise BudgetUp
+            raise BudgetExceeded
         if i == len(order):
             return True
         v = order[i]
@@ -166,7 +163,7 @@ def chromatic_number(g: Graph, budget: Optional[float] = None) -> SolveResult:
                     break
                 witness = attempt
                 k -= 1
-        except BudgetUp:
+        except BudgetExceeded:
             exact = False
         for i, v in enumerate(keep):
             total[v] = witness[i]
@@ -191,30 +188,38 @@ def chi_square(g: Graph, budget: Optional[float] = None) -> SolveResult:
 
 
 def _component_chi_so(sub: Graph, deadline: Deadline):
-    """(k, class masks) for one connected component, or None on timeout."""
+    """(k, class masks) for one connected component; raises
+    ``BudgetExceeded`` once ``deadline`` expires."""
     n = sub.n
     if n == 0:
         return 0, []
     if sub.edge_count() == 0:
         return 1, [sub.full_mask]
-    candidates = odd_independent_set_masks(sub)
+    candidates = odd_independent_set_masks(sub, deadline)
     by_pivot: List[List[int]] = [[] for _ in range(n)]
     for m in candidates:
         if m:
             by_pivot[(m & -m).bit_length() - 1].append(m)
     for lst in by_pivot:
-        lst.sort(key=lambda m: (-m.bit_count(), m))
+        if deadline.expired():
+            raise BudgetExceeded
+        # larger classes first, ties by mask: two stable sorts on C-level keys
+        lst.sort()
+        lst.sort(key=int.bit_count, reverse=True)
     memo = {0: (0, 0)}
-    counter = [0]
+    work = 0  # weighted by the candidates each call may scan
 
     def solve(mask):
+        nonlocal work
         hit = memo.get(mask)
         if hit is not None:
             return hit[0]
-        counter[0] += 1
-        if counter[0] & 255 == 0 and deadline.expired():
-            raise BudgetUp
         pivot = (mask & -mask).bit_length() - 1
+        work += 16 + len(by_pivot[pivot])
+        if work >= 4096:
+            work = 0
+            if deadline.expired():
+                raise BudgetExceeded
         best, choice = n + 1, 0
         for c in by_pivot[pivot]:
             if c & ~mask:
@@ -252,13 +257,13 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
         for comp in g.component_masks():
             sub, keep = g.induced(comp)
             if sub.n > 22:
-                raise BudgetUp  # partition search is meant for desk scale
+                raise BudgetExceeded  # partition search is meant for desk scale
             k, classes = _component_chi_so(sub, deadline)
             value = max(value, k)
             for ci, cmask in enumerate(classes):
                 for v in bits_of(cmask):
                     colors[keep[v]] = ci
-    except BudgetUp:
+    except BudgetExceeded:
         k_up, witness = chi_so_upper_from_partition(g)
         lower = 2 if g.edge_count() else 1
         return SolveResult(k_up, witness, "ois-partition", exact=False,
@@ -342,36 +347,12 @@ def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
 
 
 def greedy_ois_lower(g: Graph, budget: Optional[float] = None) -> VertexSet:
-    """Cheap verified OIS used as a lower-bound seed: the better of a
-    maximum independent set of the square, a bipartition class when all
-    degrees are odd, and an odd chunk of a largest neighborhood at girth
-    at least 5."""
+    """Cheap verified OIS used as a lower-bound seed: ``lower_bound_seed``
+    given a maximum independent set of the square (solved within 10 s)."""
     if g.n == 0:
         return VertexSet(0)
-    best = 1  # any singleton
-    best_mask = 1
     sq = alpha_square(g, budget=min(10.0, budget) if budget else 10.0)
-    if sq.witness.mask.bit_count() > best:
-        best, best_mask = sq.witness.mask.bit_count(), sq.witness.mask
-    met = metrics(g)
-    degs = [g.degree(v) for v in range(g.n)]
-    if met.is_bipartite and g.edge_count() and all(d % 2 == 1 for d in degs):
-        a, b = met.bipartition
-        mask = max(a.mask, b.mask, key=lambda m: m.bit_count())
-        if mask.bit_count() > best:
-            best, best_mask = mask.bit_count(), mask
-    if met.girth >= 5 and g.edge_count():
-        v = max(range(g.n), key=lambda u: (degs[u], -u))
-        take = degs[v] if degs[v] % 2 == 1 else degs[v] - 1
-        mask, row = 0, g.adj[v]
-        for _ in range(take):
-            bit = row & -row
-            mask |= bit
-            row ^= bit
-        if take > best:
-            best, best_mask = take, mask
-    assert is_odd_independent(g, best_mask)
-    return VertexSet(g.n, best_mask)
+    return VertexSet(g.n, lower_bound_seed(g, sq.witness.mask))
 
 
 def cube_chi_so(d: int) -> Tuple[int, Coloring]:

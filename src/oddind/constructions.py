@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from .graphs import Graph, VertexSet, bits_of, cartesian_product, from_edge_list, metrics
 from .independence import _as_mask, alpha, is_odd_independent
-from .generators import complete, hoffman_singleton, hypercube
+from .generators import complete
 from .results import BudgetExceeded
 
 
@@ -259,24 +259,3 @@ def extend_to_equal(g: Graph, budget=None) -> Graph:
         if (g.adj[v] & bmask).bit_count() % 2 == 0:
             edges.append((v, w))
     return from_edge_list(g.n + 1, edges)
-
-
-def mu_product(g: Graph, h: Graph) -> Graph:
-    """Copies of ``g`` indexed by vertices of ``h`` with same-label
-    matchings across the edges of ``h`` (the Cartesian product)."""
-    return cartesian_product(g, h)
-
-
-# convenience for tests and the suite
-def q6_24_ois() -> Tuple[Graph, VertexSet]:
-    """The 24-vertex OIS of the 6-cube from the replication theorem,
-    together with its host graph (which equals ``hypercube(6)``)."""
-    g = hypercube(4)
-    s = cube_layer_ois(1)
-    host = cartesian_product(g, hypercube(2))
-    out = construct_mu_ois(g, s, flip_last_coordinate(4), hypercube(2))
-    return host, out
-
-
-def hs_graph() -> Graph:
-    return hoffman_singleton()

@@ -8,6 +8,8 @@ vertex ids.
 
 from __future__ import annotations
 
+import re
+from math import isqrt
 from typing import List
 
 from .graphs import Graph, MAX_VERTICES, from_edge_list
@@ -25,11 +27,16 @@ class MalformedDimacs(ValueError):
     pass
 
 
+_OUTSIDE_ALPHABET = re.compile(r"[^?-~]")  # graph6 bytes are chr(63)..chr(126)
+# a graph6 byte -> its six payload bits, most significant first
+_SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}
+
+
 def _check_bytes(text: str) -> None:
-    for i, ch in enumerate(text):
-        o = ord(ch)
-        if o < 63 or o > 126:
-            raise MalformedGraph6(f"character {ch!r} outside graph6 alphabet", i)
+    bad = _OUTSIDE_ALPHABET.search(text)
+    if bad:
+        raise MalformedGraph6(f"character {bad.group()!r} outside graph6 alphabet",
+                              bad.start())
 
 
 def parse_graph6(text: str) -> Graph:
@@ -60,30 +67,20 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(
             f"expected {need} payload bytes for n={n}, got {len(text) - pos}", len(text)
         )
+    bits = text[pos:].translate(_SIX_BITS)
+    if "1" in bits[nbits:]:
+        raise MalformedGraph6("nonzero padding bits", len(text) - 1)
     rows = [0] * n
-    bit = 0
-    for i in range(need):
-        group = ord(text[pos + i]) - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> k & 1:
-                    raise MalformedGraph6("nonzero padding bits", pos + i)
-                continue
-            if group >> k & 1:
-                u, v = _bit_to_pair(bit)
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            bit += 1
+    index = bits.find("1")
+    while index >= 0:
+        # column order: (0,1), (0,2), (1,2), (0,3), ...; column v starts
+        # at index v(v-1)/2
+        v = (1 + isqrt(8 * index + 1)) // 2
+        u = index - v * (v - 1) // 2
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        index = bits.find("1", index + 1)
     return Graph(n, rows)
-
-
-def _bit_to_pair(index: int):
-    # column order: (0,1), (0,2), (1,2), (0,3), ...
-    v = 1
-    while v * (v - 1) // 2 <= index:
-        v += 1
-    v -= 1
-    return index - v * (v - 1) // 2, v
 
 
 def to_graph6(g: Graph) -> str:

@@ -417,6 +417,28 @@ def _is_claw_free(g: Graph) -> bool:
     return True
 
 
+def girth_at_least_5(g: Graph) -> bool:
+    """Whether ``g`` has neither a triangle nor a 4-cycle.
+
+    For each vertex ``u`` the rows ``N(w) - u`` of its neighbors ``w`` are
+    accumulated: a bit inside ``N(u)`` closes a triangle, and a bit seen
+    twice is a vertex with two common neighbors with ``u``, a 4-cycle.  That
+    is a few big-int operations per edge end; ``metrics`` finds the exact
+    girth by a BFS from every vertex.
+    """
+    adj = g.adj
+    for u in range(g.n):
+        once = twice = 0
+        not_u = ~(1 << u)
+        for w in bits_of(adj[u]):
+            row = adj[w] & not_u
+            twice |= once & row
+            once |= row
+        if twice or once & adj[u]:
+            return False
+    return True
+
+
 def metrics(g: Graph) -> GraphMetrics:
     """Exact structural metrics; all-pairs BFS for the diameter."""
     if g.n == 0:

@@ -33,13 +33,22 @@ import sys
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from .graphs import Graph, VertexSet, bits_of, metrics, square
+from .graphs import (
+    Graph,
+    VertexSet,
+    _bipartition,
+    _is_claw_free,
+    bits_of,
+    girth_at_least_5,
+    square,
+)
 from .results import (
     BOUNDED_K,
     BRANCH_BOUND,
     BRUTE_FORCE,
     CLAW_FREE_REDUCTION,
     ODD_REGULAR_BIPARTITE,
+    BudgetExceeded,
     Deadline,
     SolveResult,
     default_budget,
@@ -226,7 +235,15 @@ class _CliqueSolver:
 
 
 def _relabel(mask, new_id) -> int:
-    """Image of ``mask`` under the vertex map ``v -> new_id[v]``."""
+    """Image of ``mask`` under the vertex map ``v -> new_id[v]``.
+
+    ``new_id`` is a permutation of ``0..n-1``, so the image of the
+    complement is the complement of the image: the sparser side is mapped.
+    """
+    n = len(new_id)
+    if 2 * mask.bit_count() > n:
+        full = (1 << n) - 1
+        return full ^ _relabel(full ^ mask, new_id)
     out = 0
     for v in bits_of(mask):
         out |= 1 << new_id[v]
@@ -303,16 +320,22 @@ def independent_set_masks(g: Graph, within: Optional[int] = None) -> Iterator[in
     yield from rec(0, start)
 
 
-def odd_independent_set_masks(g: Graph) -> List[int]:
+def odd_independent_set_masks(g: Graph, deadline: Optional[Deadline] = None) -> List[int]:
     """All OIS masks (exponential; meant for small graphs).
 
     Walks the independent sets like ``independent_set_masks`` and carries
     the parity bitsets of the chosen rows, so each set is tested in O(1).
+    Raises ``BudgetExceeded`` once ``deadline`` expires.
     """
     rows = g.adj
     out: List[int] = []
+    nodes = 0
 
     def rec(s, p, odd, seen):
+        nonlocal nodes
+        nodes += 1
+        if nodes & 1023 == 0 and deadline is not None and deadline.expired():
+            raise BudgetExceeded("odd independent set walk hit its budget")
         if seen & ~odd == 0:
             out.append(s)
         while p:
@@ -435,26 +458,58 @@ class _OisSearch:
                 return
 
 
+def lower_bound_seed(g: Graph, square_mask: int) -> int:
+    """Largest verified OIS among the cheap lower-bound seeds, as a mask.
+
+    The seeds, in order (a later one wins only when strictly larger): a
+    singleton; ``square_mask``, an independent set of the square and so an
+    OIS; the larger bipartition class when every degree is odd; and at
+    girth at least 5, an odd number of neighbors of a vertex of maximum
+    degree (any other vertex sees at most one of them).
+    """
+    n = g.n
+    if n == 0:
+        return 0
+    degs = [g.degree(v) for v in range(n)]
+    seeds = [1, square_mask]
+    if all(d % 2 == 1 for d in degs):
+        parts = _bipartition(g)
+        if parts is not None:
+            seeds.append(max(parts, key=int.bit_count))
+    v = max(range(n), key=lambda u: (degs[u], -u))
+    if degs[v] and girth_at_least_5(g):
+        row = g.adj[v]
+        if degs[v] % 2 == 0:
+            row ^= 1 << (row.bit_length() - 1)  # keep the lowest deg - 1
+        seeds.append(row)
+    best = 0
+    for m in seeds:
+        if m.bit_count() > best.bit_count() and is_odd_independent(g, m):
+            best = m
+    return best
+
+
 def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     n = g.n
     if n == 0:
         return SolveResult(0, VertexSet(0), BRANCH_BOUND, nodes=0)
     if g.edge_count() == 0:
         return SolveResult(n, VertexSet(n, g.full_mask), BRANCH_BOUND)
-    met = metrics(g)
     degs = [g.degree(v) for v in range(n)]
+    regular = min(degs) == max(degs)
 
-    if met.is_bipartite and met.is_regular and degs[0] % 2 == 1:
-        a, b = met.bipartition
-        cls = a if len(a) >= len(b) else b
-        return SolveResult(len(cls), cls, ODD_REGULAR_BIPARTITE)
+    if regular and degs[0] % 2 == 1:
+        parts = _bipartition(g)
+        if parts is not None:
+            cls = max(parts, key=int.bit_count)
+            return SolveResult(cls.bit_count(), VertexSet(n, cls), ODD_REGULAR_BIPARTITE)
 
     remaining = deadline.remaining()
     slice_budget = None if remaining is None else min(max(remaining, 0.01) / 3, 30.0)
 
     alpha_res = alpha(g, budget=slice_budget)
     upper = alpha_res.value if alpha_res.exact else alpha_res.upper
-    if met.is_regular:
+    if regular:
         d = degs[0]
         if d % 2 == 0 and d >= 2:
             upper = min(upper, (d - 1) * n // (2 * d - 1))
@@ -465,26 +520,9 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
         else:
             upper = min(upper, (d - lam) * n // (2 * d - lam))
 
-    # lower-bound seeds, all verified as OIS before use
-    seeds = [1 << 0]
-    sq_res = alpha(square(g), budget=slice_budget)
-    seeds.append(sq_res.witness.mask)
-    if met.is_bipartite and all(d % 2 == 1 for d in degs):
-        a, b = met.bipartition
-        seeds.append(max(a.mask, b.mask, key=lambda m: m.bit_count()))
-    if met.girth >= 5:
-        v = max(range(n), key=lambda u: (degs[u], -u))
-        take = degs[v] if degs[v] % 2 == 1 else degs[v] - 1
-        mask, row = 0, g.adj[v]
-        for _ in range(take):
-            bit = row & -row
-            mask |= bit
-            row ^= bit
-        seeds.append(mask)
-    best_mask = 0
-    for m in seeds:
-        if m.bit_count() > best_mask.bit_count() and is_odd_independent(g, m):
-            best_mask = m
+    sq = square(g)
+    sq_res = alpha(sq, budget=slice_budget)
+    best_mask = lower_bound_seed(g, sq_res.witness.mask)
 
     nodes = alpha_res.nodes + sq_res.nodes
     if best_mask.bit_count() >= upper:
@@ -492,7 +530,7 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
 
     pairs = pair_classification(g)
     bad = pairs.pair_rows(n)
-    sq_deg = [r.bit_count() for r in square(g).adj]
+    sq_deg = [r.bit_count() for r in sq.adj]
     order = sorted(range(n), key=lambda v: (-sq_deg[v], v))
     search = _OisSearch(g, bad, order, deadline, best_mask, upper)
     search.run()
@@ -580,7 +618,7 @@ def alpha_od_bounded(g: Graph, k: int) -> SolveResult:
 
 def alpha_od_clawfree(g: Graph, budget: Optional[float] = None) -> SolveResult:
     """Fast path: on claw-free graphs the optimum equals ``alpha(square(g))``."""
-    if not metrics(g).is_claw_free:
+    if not _is_claw_free(g):
         raise NotClawFree("graph has an induced claw")
     res = alpha_square(g, budget=budget)
     if not is_odd_independent(g, res.witness):

@@ -18,8 +18,6 @@ BRANCH_BOUND = "branch-bound"
 CLAW_FREE_REDUCTION = "claw-free-reduction"
 ODD_REGULAR_BIPARTITE = "odd-regular-bipartite"
 BOUNDED_K = "bounded-k"
-CONSTRUCTION_ONLY = "construction-only"
-COUNTING_EXCLUSION = "counting-exclusion"
 
 
 def default_budget() -> float:
@@ -99,6 +97,3 @@ class SolveResult:
             out["note"] = self.note
         return out
 
-
-# the exact alpha_od pipeline returns the same record shape
-OisResult = SolveResult

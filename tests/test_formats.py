@@ -53,6 +53,31 @@ def test_long_form_header():
     assert line == _reference_graph6(g)
 
 
+def test_large_roundtrip():
+    for g in (gen.cycle(1500), gen.hypercube(10)):
+        line = to_graph6(g)
+        assert parse_graph6(line) == g
+    g = from_edge_list(70, [(u, v) for u in range(70) for v in range(u + 1, 70)
+                            if (u * 7 + v * 3) % 5 == 0])
+    line = to_graph6(g)
+    assert line.startswith("~") and line == _reference_graph6(g)
+    assert parse_graph6(line) == g
+
+
+def test_malformed_long_form():
+    # n = 65 carries 2080 data bits in 347 bytes: two padding bits
+    line = to_graph6(gen.cycle(65))
+    bad = line[:-1] + chr((ord(line[-1]) - 63 | 1) + 63)
+    with pytest.raises(MalformedGraph6) as err:
+        parse_graph6(bad)
+    assert err.value.offset == len(line) - 1
+    with pytest.raises(MalformedGraph6) as err:
+        parse_graph6(line[:10] + " " + line[11:])
+    assert err.value.offset == 10
+    with pytest.raises(MalformedGraph6):
+        parse_graph6(line[:-1])
+
+
 def test_malformed_graph6():
     with pytest.raises(MalformedGraph6) as err:
         parse_graph6("")

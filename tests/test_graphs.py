@@ -15,7 +15,9 @@ from oddind.graphs import (
     cartesian_product,
     complement,
     disjoint_union,
+    _bipartition,
     from_edge_list,
+    girth_at_least_5,
     join,
     metrics,
     square,
@@ -121,6 +123,34 @@ def test_metrics_named():
     assert m.is_bipartite and m.girth == 4 and m.diameter == 2
     a, b = m.bipartition
     assert len(a) + len(b) == 5
+
+
+def _structure_panel():
+    from oddind.enumeration import all_graphs
+
+    for n in range(1, 8):
+        yield from all_graphs(n)
+    yield gen.petersen()
+    yield gen.hoffman_singleton()
+    yield gen.complete_subdivision(6)
+    for d in range(3, 7):
+        yield gen.hypercube(d)
+    for n in range(3, 10):
+        yield gen.cycle(n)
+    yield disjoint_union(gen.star(5), disjoint_union(gen.path(7), gen.empty(2)))
+
+
+def test_girth5_and_bipartition_agree_with_metrics():
+    count = 0
+    for g in _structure_panel():
+        m = metrics(g)
+        assert girth_at_least_5(g) == (m.girth >= 5), g.adj
+        parts = _bipartition(g)
+        assert (parts is not None) == m.is_bipartite, g.adj
+        if parts is not None:
+            assert parts == (m.bipartition[0].mask, m.bipartition[1].mask)
+        count += 1
+    assert count == 1252 + 3 + 4 + 7 + 1
 
 
 def test_claw_detection():

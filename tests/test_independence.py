@@ -10,6 +10,7 @@ from oddind.graphs import VertexSet, complement, from_edge_list, square
 from oddind.independence import (
     NotClawFree,
     _outside_parity_ok,
+    _relabel,
     alpha,
     alpha_od,
     alpha_od_bounded,
@@ -197,6 +198,22 @@ def test_parity_kernel_matches_definition():
         want = [m for m in range(1 << n)
                 if _independent_by_definition(g, m) and _parity_by_definition(g, m)]
         assert sorted(odd_independent_set_masks(g)) == want, g.adj
+
+
+def test_relabel_matches_per_bit_map():
+    rng = random.Random(20261018)
+    for n in (0, 1, 2, 7, 64, 65, 131, 200):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        full = (1 << n) - 1
+        masks = [0, full]
+        for density in (0.05, 0.5, 0.95):
+            masks += [sum(1 << v for v in range(n) if rng.random() < density)
+                      for _ in range(5)]
+        masks += [full ^ (1 << v) for v in range(min(n, 3))]
+        for m in masks:
+            want = sum(1 << perm[v] for v in range(n) if m >> v & 1)
+            assert _relabel(m, perm) == want, (n, m)
 
 
 @given(graphs(max_n=8, min_n=1))
