@@ -68,23 +68,11 @@ def cmd_compute(args) -> int:
         res = chi_so_exact(g, budget=budget)
     else:
         res = chi_square(g, budget=budget)
-    if args.what in ("chi-so", "chi-sq"):
-        payload = {
-            "chi": res.value,
-            "coloring": list(res.witness.colors) if res.witness is not None else None,
-            "exact": res.exact,
-            "lower": res.lower,
-            "upper": res.upper,
-            "method": res.method,
-        }
-        lines = [f"{args.what} = {res.value}" + ("" if res.exact else
-                                                 f" (interval [{res.lower}, {res.upper}])")]
-    else:
-        payload = res.to_json(deterministic=args.deterministic)
-        lines = [f"{args.what} = {res.value}"
-                 + ("" if res.exact else f" (interval [{res.lower}, {res.upper}])"),
-                 f"witness: {sorted(res.witness.ids()) if res.witness else None}",
-                 f"method: {res.method}"]
+    payload = res.to_json(deterministic=args.deterministic)
+    lines = [f"{args.what} = {res.value}"
+             + ("" if res.exact else f" (interval [{res.lower}, {res.upper}])"),
+             f"witness: {payload['witness']}",
+             f"method: {res.method}"]
     _emit(payload, args.json, lines)
     return EXIT_OK if res.exact else EXIT_BUDGET
 

@@ -1,13 +1,21 @@
 """Strong odd coloring: verification and exact computation.
 
 A proper coloring is strong odd exactly when every color class is an odd
-independent set, so the exact solver is a minimum partition of the vertex
-set into OIS classes.  Class feasibility is a property of the class alone
-(parity is checked against all outside vertices), which keeps the search
-sound: candidate classes are enumerated completely per component and a
-memoized covering recursion picks the pivot vertex's class first.  The
-parity condition is not hereditary, so partially built classes are never
-parity-tested; only complete candidate classes are.
+independent set, so ``chi_so`` is the least number of OIS classes that
+partition the vertex set.  Class feasibility is a property of the class
+alone (parity is checked against all outside vertices), so the candidate
+classes are enumerated completely per component; the parity condition is
+not hereditary, so partially built classes are never parity-tested.
+
+The cover is a decision search rather than a memoized minimum.  With
+``top`` the largest candidate class (``alpha_od`` of the component), the
+bound ``alpha_od * chi_so >= n`` makes ``ceil(n / top)`` the first ``k``
+worth trying, and ``k`` rises until the vertex set splits into ``k``
+classes.  The pivot vertex's class is chosen first, largest first, with
+three sound cuts: a mask larger than ``k * top`` fails; a class smaller
+than ``|mask| - (k - 1) * top`` leaves too much for the other classes, and
+so do all classes after it; and a mask refuted for ``k`` classes is
+refuted for every smaller ``k``.
 """
 
 from __future__ import annotations
@@ -187,91 +195,114 @@ def chi_square(g: Graph, budget: Optional[float] = None) -> SolveResult:
 # -- exact strong odd chromatic number ------------------------------------------
 
 
-def _component_chi_so(sub: Graph, deadline: Deadline):
-    """(k, class masks) for one connected component; raises
-    ``BudgetExceeded`` once ``deadline`` expires."""
-    n = sub.n
-    if n == 0:
-        return 0, []
-    if sub.edge_count() == 0:
-        return 1, [sub.full_mask]
-    candidates = odd_independent_set_masks(sub, deadline)
-    by_pivot: List[List[int]] = [[] for _ in range(n)]
-    for m in candidates:
-        if m:
-            by_pivot[(m & -m).bit_length() - 1].append(m)
-    for lst in by_pivot:
-        if deadline.expired():
-            raise BudgetExceeded
-        # larger classes first, ties by mask: two stable sorts on C-level keys
-        lst.sort()
-        lst.sort(key=int.bit_count, reverse=True)
-    memo = {0: (0, 0)}
-    work = 0  # weighted by the candidates each call may scan
+class _OisCover:
+    """Decision search for one connected component: can ``mask`` be split
+    into at most ``k`` candidate OIS classes?
 
-    def solve(mask):
-        nonlocal work
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit[0]
-        pivot = (mask & -mask).bit_length() - 1
-        work += 16 + len(by_pivot[pivot])
-        if work >= 4096:
-            work = 0
+    ``solve`` tries ``k = ceil(n / top), ceil(n / top) + 1, ...``, where
+    ``top`` is the largest candidate class (the component's ``alpha_od``),
+    so ``lower`` is always a proven lower bound on ``chi_so``, also when
+    ``BudgetExceeded`` escapes.  ``nodes`` counts calls of ``_fits``.
+    """
+
+    def __init__(self, sub: Graph, deadline: Deadline):
+        self.sub = sub
+        self.deadline = deadline
+        self.lower = 2 if sub.edge_count() else 1
+        self.nodes = 0
+        self.work = 0  # weighted by the candidates each call may scan
+        self.failed = {}  # mask -> largest k refuted for it
+
+    def solve(self) -> List[int]:
+        """Class masks of a minimum cover; raises ``BudgetExceeded``."""
+        sub, deadline = self.sub, self.deadline
+        if sub.edge_count() == 0:
+            return [sub.full_mask]
+        if sub.n > 22:
+            raise BudgetExceeded  # partition search is meant for desk scale
+        by_pivot: List[List[int]] = [[] for _ in range(sub.n)]
+        for m in odd_independent_set_masks(sub, deadline):
+            if m:
+                by_pivot[(m & -m).bit_length() - 1].append(m)
+        for lst in by_pivot:
             if deadline.expired():
                 raise BudgetExceeded
-        best, choice = n + 1, 0
-        for c in by_pivot[pivot]:
+            # larger classes first, ties by mask: two stable sorts on C-level keys
+            lst.sort()
+            lst.sort(key=int.bit_count, reverse=True)
+        self.by_pivot = by_pivot
+        self.top = max(lst[0].bit_count() for lst in by_pivot if lst)
+        # alpha_od * chi_so >= n: fewer than ceil(n / top) classes cannot cover
+        for k in range(-(-sub.n // self.top), sub.n + 1):
+            self.lower = k
+            classes = self._fits(sub.full_mask, k)
+            if classes is not None:
+                return classes[::-1]
+        raise AssertionError("n singleton classes always cover")
+
+    def _fits(self, mask, k):
+        """At most ``k`` classes partitioning ``mask``, the pivot's class
+        last, or None if there are none."""
+        self.nodes += 1
+        if not mask:
+            return []
+        size, top = mask.bit_count(), self.top
+        if size > k * top or self.failed.get(mask, 0) >= k:
+            return None
+        pivot = (mask & -mask).bit_length() - 1
+        self.work += 16 + len(self.by_pivot[pivot])
+        if self.work >= 4096:
+            self.work = 0
+            if self.deadline.expired():
+                raise BudgetExceeded
+        # the other k - 1 classes hold at most (k - 1) * top vertices
+        need = size - (k - 1) * top
+        for c in self.by_pivot[pivot]:
+            if c.bit_count() < need:
+                break
             if c & ~mask:
                 continue
-            sz = solve(mask & ~c) + 1
-            if sz < best:
-                best, choice = sz, c
-                if best == 1:
-                    break
-        memo[mask] = (best, choice)
-        return best
-
-    k = solve(sub.full_mask)
-    classes = []
-    mask = sub.full_mask
-    while mask:
-        _, choice = memo[mask]
-        classes.append(choice)
-        mask &= ~choice
-    return k, classes
+            rest = self._fits(mask & ~c, k - 1)
+            if rest is not None:
+                rest.append(c)
+                return rest
+        self.failed[mask] = k  # no cover with k classes, nor with fewer
+        return None
 
 
 def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
     """Exact strong odd chromatic number with a witness coloring.
 
     Components are solved independently (classes merge across components),
-    so the answer is the maximum over components.
+    so the answer is the largest ``k`` proven necessary in any component;
+    on a timeout that is the lower end of the interval.
     """
     deadline = Deadline(default_budget() if budget is None else budget)
     if g.n == 0:
         return SolveResult(0, Coloring(()), "ois-partition")
     colors = [0] * g.n
-    value = 0
-    try:
-        for comp in g.component_masks():
-            sub, keep = g.induced(comp)
-            if sub.n > 22:
-                raise BudgetExceeded  # partition search is meant for desk scale
-            k, classes = _component_chi_so(sub, deadline)
-            value = max(value, k)
-            for ci, cmask in enumerate(classes):
-                for v in bits_of(cmask):
-                    colors[keep[v]] = ci
-    except BudgetExceeded:
+    lower = nodes = 0
+    exact = True
+    for comp in g.component_masks():
+        sub, keep = g.induced(comp)
+        cover = _OisCover(sub, deadline)
+        try:
+            classes = cover.solve()
+        except BudgetExceeded:
+            exact, classes = False, []
+        lower = max(lower, cover.lower)
+        nodes += cover.nodes
+        for ci, cmask in enumerate(classes):
+            for v in bits_of(cmask):
+                colors[keep[v]] = ci
+    if not exact:
         k_up, witness = chi_so_upper_from_partition(g)
-        lower = 2 if g.edge_count() else 1
         return SolveResult(k_up, witness, "ois-partition", exact=False,
-                           lower=lower, upper=k_up,
+                           lower=lower, upper=k_up, nodes=nodes,
                            millis=deadline.elapsed_ms(), note="budget exhausted")
     witness = Coloring(colors)
     assert is_strong_odd_coloring(g, witness)
-    return SolveResult(value, witness, "ois-partition",
+    return SolveResult(lower, witness, "ois-partition", nodes=nodes,
                        millis=deadline.elapsed_ms())
 
 

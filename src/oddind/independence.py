@@ -123,12 +123,19 @@ class PairClassification:
         return rows
 
 
-def pair_classification(g: Graph) -> PairClassification:
-    """Enumerate all forbidden and forcing pairs of ``g``."""
+def pair_classification(g: Graph, deadline: Optional[Deadline] = None) -> PairClassification:
+    """Enumerate the forbidden and forcing pairs of ``g``.
+
+    Once ``deadline`` expires, the pairs found so far are returned.  That is
+    sound: pairs are only cuts, and a forcing pair is found from known
+    forbidden pairs, so a missing forbidden pair can only hide forcing pairs.
+    """
     n = g.n
     forb_rows = [0] * n
     forbidden = set()
     for x in range(n):
+        if deadline is not None and deadline.expired():
+            return PairClassification(frozenset(forbidden), ())
         for y in range(x + 1, n):
             if g.has_edge(x, y):
                 continue
@@ -145,6 +152,8 @@ def pair_classification(g: Graph) -> PairClassification:
     forcing = []
     seen = set()
     for z in range(n):
+        if deadline is not None and deadline.expired():
+            break
         nbrs = list(bits_of(g.adj[z]))
         for i, x in enumerate(nbrs):
             for y in nbrs[i + 1:]:
@@ -528,7 +537,7 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     if best_mask.bit_count() >= upper:
         return SolveResult(upper, VertexSet(n, best_mask), BRANCH_BOUND, nodes=nodes)
 
-    pairs = pair_classification(g)
+    pairs = pair_classification(g, deadline)
     bad = pairs.pair_rows(n)
     sq_deg = [r.bit_count() for r in sq.adj]
     order = sorted(range(n), key=lambda v: (-sq_deg[v], v))

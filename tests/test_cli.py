@@ -46,7 +46,10 @@ def test_compute_chi_so_shape(capsys, tmp_path):
     code, out, _ = run(capsys, "compute", "chi-so", str(path), "--json")
     assert code == 0
     data = json.loads(out)
-    assert data["chi"] == 5 and len(data["coloring"]) == 5
+    # the same schema as alpha-od: the witness is one color per vertex
+    assert data["value"] == 5 and data["exact"] is True
+    assert len(data["witness"]) == 5 and len(set(data["witness"])) == 5
+    assert data["nodes"] > 0 and data["method"] == "ois-partition"
 
 
 def test_verify_set_exit_codes(capsys, tmp_path):

@@ -1,3 +1,6 @@
+import random
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from oddind.coloring import (
     is_proper_coloring,
     is_strong_odd_coloring,
 )
-from oddind.graphs import complement, from_edge_list, square, t_copies
+from oddind.graphs import complement, disjoint_union, from_edge_list, square, t_copies
 from oddind.independence import alpha_od_bruteforce, odd_independent_set_masks
 
 
@@ -101,6 +104,69 @@ def test_chi_so_exact_vs_bruteforce_small():
     for n in range(1, 6):
         for g in all_graphs(n):
             assert chi_so_exact(g).value == brute_chromatic(g, strong_odd=True)
+
+
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if rng.random() < p])
+
+
+def _min_ois_partition(g) -> int:
+    """Oracle: the least number of OIS classes covering ``g``, by a plain
+    memoized minimum over the classes that hold the lowest vertex."""
+    by_low = {}
+    for c in odd_independent_set_masks(g):
+        by_low.setdefault(c & -c, []).append(c)
+
+    @lru_cache(maxsize=None)
+    def best(mask):
+        if not mask:
+            return 0
+        return 1 + min(best(mask & ~c) for c in by_low[mask & -mask] if not c & ~mask)
+
+    return best(g.full_mask)
+
+
+# sparse G(n, .12) with seed 1000 * j + n; each value agreed with a HiGHS
+# MILP model when pinned
+PINNED_CHI_SO = {(18, 1): 5, (18, 2): 4, (19, 1): 5, (19, 2): 5,
+                 (20, 1): 4, (20, 2): 4, (21, 1): 5, (21, 2): 5}
+
+
+def test_chi_so_pinned_sparse_graphs():
+    for (n, j), want in PINNED_CHI_SO.items():
+        g = _gnp(n, 0.12, 1000 * j + n)
+        res = chi_so_exact(g, budget=60)
+        assert res.exact and res.value == want, (n, j, res.value)
+        assert is_strong_odd_coloring(g, res.witness)
+        assert res.witness.num_colors == want
+        assert res.nodes > 0
+
+
+def test_chi_so_matches_partition_oracle():
+    for n in range(10, 17):
+        for i, p in enumerate((0.1, 0.2, 0.35, 0.6)):
+            g = _gnp(n, p, 100 * n + i)
+            res = chi_so_exact(g)
+            assert res.exact
+            assert is_strong_odd_coloring(g, res.witness)
+            assert res.witness.num_colors == res.value == _min_ois_partition(g), (n, p)
+
+
+def test_chi_so_timeout_keeps_proven_lower_bound():
+    # C_5 needs 5 classes; C_30 has more than 22 vertices, so its search is
+    # skipped.  chi_so(C_30) = 3, so the true value is 5.
+    g = disjoint_union(gen.cycle(5), gen.cycle(30))
+    for h in (g, disjoint_union(gen.cycle(30), gen.cycle(5))):
+        res = chi_so_exact(h)
+        assert not res.exact
+        assert 5 <= res.lower <= 5 <= res.upper
+        assert is_strong_odd_coloring(h, res.witness)
+        assert res.witness.num_colors == res.value == res.upper
+    # an expired budget proves only the trivial bound
+    res = chi_so_exact(gen.petersen(), budget=-1)
+    assert not res.exact and res.lower == 2 and res.upper >= 6
 
 
 def test_alpha2_examples():

@@ -23,6 +23,7 @@ from oddind.independence import (
     odd_profile,
     pair_classification,
 )
+from oddind.results import Deadline
 
 
 @st.composite
@@ -69,6 +70,36 @@ def test_clawfree_every_distance2_pair_forbidden():
         for v in range(u + 1, g.n):
             if dist[v] == 2:
                 assert (u, v) in pc.forbidden
+
+
+class _Countdown:
+    """A deadline that expires after a fixed number of checks."""
+
+    def __init__(self, checks):
+        self.checks = checks
+
+    def expired(self):
+        self.checks -= 1
+        return self.checks < 0
+
+
+def test_pair_classification_deadline_gives_subset():
+    rng = random.Random(5)
+    graphs = [gen.path(3), gen.line_graph(gen.petersen())]
+    graphs += [from_edge_list(14, [(u, v) for u in range(14) for v in range(u + 1, 14)
+                                   if rng.random() < 0.3]) for _ in range(3)]
+    for g in graphs:
+        full = pair_classification(g)
+        assert full.forbidden and full.forcing
+        assert pair_classification(g, Deadline(60)) == full
+        expired = pair_classification(g, Deadline(-1))
+        assert not expired.forbidden and not expired.forcing
+        # expiring after each possible number of checks, in both loops
+        for checks in range(2 * g.n + 1):
+            part = pair_classification(g, _Countdown(checks))
+            assert part.forbidden <= full.forbidden
+            assert set(part.forcing) <= set(full.forcing)
+        assert pair_classification(g, _Countdown(2 * g.n)) == full
 
 
 def test_alpha_examples():
