@@ -19,13 +19,22 @@ from .graphs import (
     BadParam,
     Graph,
     complement,
+    diameter,
     from_edge_list,
-    girth_at_least_5,
-    metrics,
+    is_triangle_free,
     square,
 )
-from .independence import alpha, alpha_od_bounded, is_odd_independent
-from .results import Deadline, SolveResult, default_budget
+from .independence import (
+    _alpha_root_bound,
+    alpha,
+    alpha_od_bounded,
+    even_regular_upper,
+    girth5_seed,
+    odd_bipartite_seed,
+    square_seed,
+    upper_bounds,
+)
+from .results import SolveResult, default_budget
 
 
 class NotTriangleFree(ValueError):
@@ -83,12 +92,14 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _as_range(value) -> Tuple[int, int]:
+def _as_range(value, n: int) -> Tuple[int, int]:
+    """``[lower, upper]`` of an exact value, a pair or a ``SolveResult``;
+    a result with no upper end gets ``n``, which bounds both parameters."""
     if isinstance(value, tuple):
         lo, hi = value
         return int(lo), int(hi)
     if isinstance(value, SolveResult):
-        return value.lower, value.upper if value.upper is not None else value.lower
+        return value.lower, value.upper if value.upper is not None else n
     return int(value), int(value)
 
 
@@ -106,44 +117,30 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
     report = BoundReport(name or f"graph(n={n},m={g.edge_count()})")
     if n == 0:
         return report
-    a_lo, a_hi = _as_range(alpha_od_value)
-    c_lo, c_hi = _as_range(chi_so_value)
+    a_lo, a_hi = _as_range(alpha_od_value, n)
+    c_lo, c_hi = _as_range(chi_so_value, n)
     degs = [g.degree(v) for v in range(n)]
     delta = max(degs)
-    regular = min(degs) == delta
     sq = square(g)
     delta_sq = max((sq.degree(v) for v in range(n)), default=0)
 
     def add(name_, lhs_range, relation, rhs_range, anchor, note=""):
         (llo, lhi), (rlo, rhi) = lhs_range, rhs_range
-        if relation == "<=":
-            if lhi <= rlo:
-                ok = True
-            elif llo > rhi:
-                ok = False
-            else:
-                report.omitted.append((name_, "interval cannot decide"))
-                return
-            lhs, rhs = Fraction(lhi), Fraction(rlo)
-        elif relation == ">=":
-            if llo >= rhi:
-                ok = True
-            elif lhi < rlo:
-                ok = False
-            else:
-                report.omitted.append((name_, "interval cannot decide"))
-                return
-            lhs, rhs = Fraction(llo), Fraction(rhi)
-        else:  # "=="
-            if llo == lhi == rlo == rhi:
-                ok = True
-            elif lhi < rlo or llo > rhi:
-                ok = False
-            else:
-                report.omitted.append((name_, "interval cannot decide"))
-                return
-            lhs, rhs = Fraction(llo), Fraction(rlo)
-        report.entries.append(BoundEntry(name_, lhs, rhs, relation, ok, anchor, note))
+        if relation == "==":
+            holds, fails = llo == lhi == rlo == rhi, lhi < rlo or llo > rhi
+            lhs, rhs = llo, rlo
+        else:
+            # "x >= y" is "y <= x": decide "small <= big" on the two ranges
+            (slo, shi), (blo, bhi) = lhs_range, rhs_range
+            if relation == ">=":
+                (slo, shi), (blo, bhi) = rhs_range, lhs_range
+            holds, fails = shi <= blo, slo > bhi
+            lhs, rhs = (shi, blo) if relation == "<=" else (blo, shi)
+        if holds or fails:
+            report.entries.append(BoundEntry(name_, Fraction(lhs), Fraction(rhs), relation,
+                                             holds, anchor, note))
+        else:
+            report.omitted.append((name_, "interval cannot decide"))
 
     def exactr(x) -> Tuple[Fraction, Fraction]:
         f = Fraction(x)
@@ -173,13 +170,14 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
     add("alpha-od + chi-so <= n+1", (a_lo + c_lo, a_hi + c_hi), "<=",
         exactr(n + 1), "sum-upper")
 
-    # independence of the square
-    sq_res = alpha(sq, budget=min(default_budget() if budget is None else budget, 30.0))
-    if sq_res.exact:
-        add("alpha-od >= alpha(square)", (a_lo, a_hi), ">=", exactr(sq_res.value),
-            "square-independence")
-    else:
-        report.omitted.append(("alpha-od >= alpha(square)", "square solve hit budget"))
+    # independence of the square: its root coloring bound decides the entry
+    # once alpha-od reaches it; else solve, and a timeout leaves a range
+    sq_mask, sq_hi = 0, _alpha_root_bound(sq)
+    if a_lo < sq_hi:
+        sq_res = alpha(sq, budget=default_budget() if budget is None else budget)
+        sq_mask, sq_hi = sq_res.witness.mask, sq_res.upper
+    sq_seed = square_seed(sq_mask)
+    add(sq_seed.name, (a_lo, a_hi), ">=", (sq_seed.value, sq_hi), sq_seed.anchor)
 
     # degree-sum lower bounds
     cw = sum(Fraction(1, sq.degree(v) + 1) for v in range(n))
@@ -189,26 +187,14 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
     add("caro-wei(square) >= n/(avgdeg*maxdeg+1)", exactr(cw), ">=",
         exactr(Fraction(n, 1) / (avg * delta + 1)), "caro-wei")
 
-    if regular and delta >= 2 and delta % 2 == 0:
-        add("alpha-od <= (d-1)n/(2d-1)", (a_lo, a_hi), "<=",
-            exactr(Fraction((delta - 1) * n, 2 * delta - 1)), "even-regular-upper")
-    if regular and g.edge_count():
-        lam = min((g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges())
-        if (delta - lam) % 2 == 0:
-            add("alpha-od <= (d-L-1)n/(2d-L-1)", (a_lo, a_hi), "<=",
-                exactr(Fraction((delta - lam - 1) * n, 2 * delta - lam - 1)),
-                "common-neighbor-upper", note=f"floor L={lam}, d-L even")
-        else:
-            add("alpha-od <= (d-L)n/(2d-L)", (a_lo, a_hi), "<=",
-                exactr(Fraction((delta - lam) * n, 2 * delta - lam)),
-                "common-neighbor-upper", note=f"floor L={lam}, d-L odd")
+    for b in upper_bounds(g):
+        add(b.name, (a_lo, a_hi), "<=", exactr(b.value), b.anchor, note=b.note)
 
-    if delta >= 1 and girth_at_least_5(g):
-        eps = 1 if delta % 2 == 0 else 0
-        add("alpha-od >= maxdeg - eps", (a_lo, a_hi), ">=", exactr(delta - eps),
-            "girth5-neighborhood")
+    seed = girth5_seed(g)
+    if seed:
+        add(seed.name, (a_lo, a_hi), ">=", exactr(seed.value), seed.anchor)
         add("chi-so <= n - (maxdeg - eps) + 1", (c_lo, c_hi), "<=",
-            exactr(n - (delta - eps) + 1), "girth5-neighborhood")
+            exactr(n - seed.value + 1), seed.anchor)
 
     if delta >= 3:
         add("alpha-od >= n/(maxdeg^2-1)", (a_lo, a_hi), ">=",
@@ -216,13 +202,12 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
 
     d = _hypercube_dimension(g)
     if d is not None and d >= 1:
-        half = 1 << (d - 1)
         if d % 2 == 1:
-            add("alpha-od == 2^(d-1)", (a_lo, a_hi), "==", exactr(half),
+            add("alpha-od == 2^(d-1)", (a_lo, a_hi), "==", exactr(odd_bipartite_seed(g).value),
                 "cube-odd-equality")
         else:
             add("alpha-od <= (1 - 1/(2d-1)) 2^(d-1)", (a_lo, a_hi), "<=",
-                exactr(Fraction(half * (2 * d - 2), 2 * d - 1)), "cube-even-upper")
+                exactr(even_regular_upper(g).value), "cube-even-upper")
     return report
 
 
@@ -277,18 +262,6 @@ class CoTriangleFreeReport:
     chi_so_complement: Optional[int]  # None when the case predicts no value
 
 
-def _diameter(g: Graph) -> float:
-    if g.n <= 1:
-        return 0
-    best = 0
-    for v in range(g.n):
-        dist = g.bfs_levels(v)
-        if min(dist) < 0:
-            return inf
-        best = max(best, max(dist))
-    return best
-
-
 def classify_cotrianglefree(g: Graph) -> CoTriangleFreeReport:
     """Predicted parameters of the complement of a triangle-free graph,
     from the diameters of the graph and its complement alone.
@@ -300,11 +273,11 @@ def classify_cotrianglefree(g: Graph) -> CoTriangleFreeReport:
     """
     if g.n == 0:
         raise BadParam("classification needs at least one vertex")
-    if not metrics(g).is_triangle_free:
+    if not is_triangle_free(g):
         raise NotTriangleFree("graph has a triangle")
     comp = complement(g)
-    diam_g = _diameter(g)
-    diam_c = _diameter(comp)
+    diam_g = diameter(g)
+    diam_c = diameter(comp)
     n = g.n
     if diam_c == inf:
         comps = comp.component_masks()
@@ -360,19 +333,18 @@ def moore_exclusion_check(extra_graphs: Sequence[Tuple[str, Graph]] = ()) -> Lis
     for name, g in extra_graphs:
         items.append((name, g, None))
     for name, g, _ in items:
-        met = metrics(g)
-        if met.girth < 5:
+        seed = girth5_seed(g)
+        if seed is None:
             out.append({"graph": name, "applicable": False})
             continue
-        delta = met.max_degree
-        eps = 1 if delta % 2 == 0 else 0
+        delta = max(g.degree(v) for v in range(g.n))
         entry = {
             "graph": name,
             "applicable": True,
             "n": g.n,
             "max_degree": delta,
-            "alpha_od_lower": delta - eps,
-            "chi_so_upper_lemma": g.n - (delta - eps) + 1,
+            "alpha_od_lower": int(seed.value),
+            "chi_so_upper_lemma": g.n - int(seed.value) + 1,
             "delta_squared_plus_1": delta * delta + 1,
         }
         if g.n <= 12:

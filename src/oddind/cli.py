@@ -111,9 +111,7 @@ def cmd_bounds(args) -> int:
     aod = alpha_od(g, budget=budget)
     cso = chi_so_exact(g, budget=budget)
     hit_budget = not (aod.exact and cso.exact)
-    aval = aod.value if aod.exact else (aod.lower, aod.upper if aod.upper is not None else g.n)
-    cval = cso.value if cso.exact else (cso.lower, cso.upper)
-    report = bound_report(g, aval, cval, budget=budget)
+    report = bound_report(g, aod, cso, budget=budget)
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     else:

@@ -20,9 +20,10 @@ refuted for every smaller ``k``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, VertexSet, bits_of, square
+from .graphs import Graph, VertexSet, _complement_rows, bits_of, from_edge_list, square
 from .independence import (
     _as_mask,
     alpha_square,
@@ -120,16 +121,15 @@ def _greedy_clique(g: Graph) -> int:
     return best
 
 
-def _k_colorable(g: Graph, k: int, deadline: Deadline):
-    """A k-coloring as a list, or None; vertices in degree-descending order."""
+def _k_colorable(g: Graph, k: int, deadline: Deadline, nodes: List[int]):
+    """A k-coloring as a list, or None; vertices in degree-descending order.
+    ``nodes[0]`` counts the search's calls, also when the budget runs out."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     colors = [-1] * g.n
-    nodes = 0
 
     def rec(i, used):
-        nonlocal nodes
-        nodes += 1
-        if nodes & 1023 == 0 and deadline.expired():
+        nodes[0] += 1
+        if nodes[0] & 1023 == 0 and deadline.expired():
             raise BudgetExceeded
         if i == len(order):
             return True
@@ -157,6 +157,7 @@ def chromatic_number(g: Graph, budget: Optional[float] = None) -> SolveResult:
     total = [0] * g.n
     value = 0
     proven_lower = 0
+    nodes = [0]
     exact = True
     for comp in g.component_masks():
         sub, keep = g.induced(comp)
@@ -165,7 +166,7 @@ def chromatic_number(g: Graph, budget: Optional[float] = None) -> SolveResult:
         lb = max(_greedy_clique(sub), 1)
         try:
             while k > lb:
-                attempt = _k_colorable(sub, k - 1, deadline)
+                attempt = _k_colorable(sub, k - 1, deadline, nodes)
                 if attempt is None:
                     lb = k  # k-1 colors proven impossible
                     break
@@ -180,10 +181,10 @@ def chromatic_number(g: Graph, budget: Optional[float] = None) -> SolveResult:
     coloring = Coloring(total)
     assert is_proper_coloring(g, coloring)
     if exact:
-        return SolveResult(value, coloring, "backtracking",
+        return SolveResult(value, coloring, "backtracking", nodes=nodes[0],
                            millis=deadline.elapsed_ms())
     return SolveResult(value, coloring, "backtracking", exact=False,
-                       lower=proven_lower, upper=value,
+                       lower=proven_lower, upper=value, nodes=nodes[0],
                        millis=deadline.elapsed_ms(), note="budget exhausted")
 
 
@@ -220,18 +221,21 @@ class _OisCover:
             return [sub.full_mask]
         if sub.n > 22:
             raise BudgetExceeded  # partition search is meant for desk scale
-        by_pivot: List[List[int]] = [[] for _ in range(sub.n)]
-        for m in odd_independent_set_masks(sub, deadline):
-            if m:
-                by_pivot[(m & -m).bit_length() - 1].append(m)
-        for lst in by_pivot:
+        masks = odd_independent_set_masks(sub, deadline)
+        # the walk's depth-first order emits the empty set, then the sets
+        # grouped by lowest vertex in increasing order: pivot v's candidates
+        # are the slice whose key, 1 + the lowest vertex, is v + 1
+        cuts = [bisect_right(masks, v, key=lambda m: (m & -m).bit_length())
+                for v in range(sub.n + 1)]
+        self.by_pivot = [masks[cuts[v]:cuts[v + 1]] for v in range(sub.n)]
+        del masks  # the slices hold every candidate the cover reads
+        for lst in self.by_pivot:
             if deadline.expired():
                 raise BudgetExceeded
             # larger classes first, ties by mask: two stable sorts on C-level keys
             lst.sort()
             lst.sort(key=int.bit_count, reverse=True)
-        self.by_pivot = by_pivot
-        self.top = max(lst[0].bit_count() for lst in by_pivot if lst)
+        self.top = max(lst[0].bit_count() for lst in self.by_pivot if lst)
         # alpha_od * chi_so >= n: fewer than ceil(n / top) classes cannot cover
         for k in range(-(-sub.n // self.top), sub.n + 1):
             self.lower = k
@@ -314,11 +318,10 @@ def chi_so_alpha2(g: Graph) -> SolveResult:
     and share no neighbor (distance at least 3, or disconnected).
     """
     n = g.n
-    full = g.full_mask
+    nonadj = _complement_rows(g)
     for u in range(n):
-        nonadj_u = ~g.adj[u] & full & ~(1 << u)
-        for v in bits_of(nonadj_u >> (u + 1) << (u + 1)):
-            third = nonadj_u & ~g.adj[v] & ~(1 << v) & ~((1 << (v + 1)) - 1)
+        for v in bits_of(nonadj[u] >> (u + 1) << (u + 1)):
+            third = nonadj[u] & nonadj[v] & ~((1 << (v + 1)) - 1)
             if third:
                 raise AlphaTooLarge("graph has an independent triple")
     aux_edges = []
@@ -326,22 +329,9 @@ def chi_so_alpha2(g: Graph) -> SolveResult:
         for v in range(u + 1, n):
             if not g.has_edge(u, v) and g.adj[u] & g.adj[v] == 0:
                 aux_edges.append((u, v))
-    from .graphs import from_edge_list
-
-    aux = from_edge_list(n, aux_edges)
-    m = maximum_matching(aux)
-    colors = [-1] * n
-    nxt = 0
-    for u, v in sorted(m.pairs):
-        colors[u] = colors[v] = nxt
-        nxt += 1
-    for v in range(n):
-        if colors[v] == -1:
-            colors[v] = nxt
-            nxt += 1
-    witness = Coloring(colors)
-    assert is_strong_odd_coloring(g, witness)
-    return SolveResult(n - m.size, witness, "alpha2-matching")
+    m = maximum_matching(from_edge_list(n, aux_edges))
+    k, witness = chi_so_upper_from_partition(g, [1 << u | 1 << v for u, v in sorted(m.pairs)])
+    return SolveResult(k, witness, "alpha2-matching")
 
 
 def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .graphs import Graph, VertexSet, bits_of, cartesian_product, from_edge_list, metrics
+from .graphs import Graph, VertexSet, _bipartition, bits_of, cartesian_product, from_edge_list
 from .independence import _as_mask, alpha, is_odd_independent
 from .generators import complete
 from .results import BudgetExceeded
@@ -62,13 +62,26 @@ def _check_eta(g: Graph, eta: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _bipartition_sides(h: Graph, larger_first: bool = False):
-    met = metrics(h)
-    if not met.is_bipartite:
+    parts = _bipartition(h)
+    if parts is None:
         raise BadH("pattern graph is not bipartite")
-    a, b = met.bipartition
+    a, b = (VertexSet(h.n, m) for m in parts)
     if larger_first and len(b) > len(a):
         a, b = b, a
     return a, b
+
+
+def _replicate(g: Graph, h: Graph, a, s_a: int, b, s_b: int) -> VertexSet:
+    """Copies of ``s_a`` over the side ``a`` of ``h`` and of ``s_b`` over
+    ``b``, inside ``cartesian_product(g, h)``, re-verified as an OIS."""
+    out = 0
+    for side, s in ((a, s_a), (b, s_b)):
+        for w in side.ids():
+            for u in bits_of(s):
+                out |= 1 << (u * h.n + w)
+    product = cartesian_product(g, h)
+    assert is_odd_independent(product, out), "construction failed verification"
+    return VertexSet(product.n, out)
 
 
 def construct_mu_ois(g: Graph, s, eta: Sequence[int], h: Graph) -> VertexSet:
@@ -87,16 +100,7 @@ def construct_mu_ois(g: Graph, s, eta: Sequence[int], h: Graph) -> VertexSet:
     image = 0
     for u in bits_of(smask):
         image |= 1 << eta[u]
-    out = 0
-    for w in a.ids():
-        for u in bits_of(smask):
-            out |= 1 << (u * h.n + w)
-    for w in b.ids():
-        for u in bits_of(image):
-            out |= 1 << (u * h.n + w)
-    product = cartesian_product(g, h)
-    assert is_odd_independent(product, out), "construction failed verification"
-    return VertexSet(product.n, out)
+    return _replicate(g, h, a, smask, b, image)
 
 
 def construct_gk2_ois(g: Graph, s_pair: Tuple[VertexSet, VertexSet], h: Graph) -> VertexSet:
@@ -120,16 +124,7 @@ def construct_gk2_ois(g: Graph, s_pair: Tuple[VertexSet, VertexSet], h: Graph) -
         pair_mask |= 1 << (u * 2 + 1)
     if not is_odd_independent(doubled, pair_mask):
         raise NotOIS("the pair is not odd independent in the doubled graph")
-    out = 0
-    for w in a.ids():
-        for u in bits_of(s0):
-            out |= 1 << (u * h.n + w)
-    for w in b.ids():
-        for u in bits_of(s1):
-            out |= 1 << (u * h.n + w)
-    product = cartesian_product(g, h)
-    assert is_odd_independent(product, out), "construction failed verification"
-    return VertexSet(product.n, out)
+    return _replicate(g, h, a, s0, b, s1)
 
 
 def flip_last_coordinate(d: int) -> Tuple[int, ...]:

@@ -20,12 +20,12 @@ from .independence import independent_set_masks
 
 
 def _refined_colors(g: Graph) -> Tuple[int, ...]:
-    colors = [g.degree(v) for v in range(g.n)]
+    # neighbor lists once, not once per refinement round
+    nbrs = [list(bits_of(row)) for row in g.adj]
+    colors = [len(nb) for nb in nbrs]
     for _ in range(3):
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in bits_of(g.adj[v]))))
-            for v in range(g.n)
-        ]
+        sigs = [(colors[v], tuple(sorted([colors[u] for u in nb])))
+                for v, nb in enumerate(nbrs)]
         palette = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [palette[s] for s in sigs]
         if new == colors:
@@ -117,19 +117,23 @@ def _extensions(parent: Graph, neighborhoods) -> List[Graph]:
     return out
 
 
+def _grow(n: int, family, neighborhoods) -> Tuple[Graph, ...]:
+    """``family(n)``: every ``family(n - 1)`` graph extended by a vertex over
+    each of ``neighborhoods(parent)``, up to isomorphism."""
+    if n <= 1:
+        return (Graph(n, [0] * n),)
+    candidates = []
+    for parent in family(n - 1):
+        candidates.extend(_extensions(parent, neighborhoods(parent)))
+    return tuple(_dedupe(candidates))
+
+
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> Tuple[Graph, ...]:
     """All graphs on exactly ``n`` vertices, one per isomorphism class."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return (Graph(0, []),)
-    if n == 1:
-        return (Graph(1, [0]),)
-    candidates = []
-    for parent in all_graphs(n - 1):
-        candidates.extend(_extensions(parent, range(1 << (n - 1))))
-    return tuple(_dedupe(candidates))
+    return _grow(n, all_graphs, lambda parent: range(1 << parent.n))
 
 
 @lru_cache(maxsize=None)
@@ -140,29 +144,19 @@ def triangle_free_graphs(n: int) -> Tuple[Graph, ...]:
     parent preserves triangle-freeness, and removing any vertex of a
     triangle-free graph stays triangle-free, so the sweep is complete.
     """
-    if n == 0:
-        return (Graph(0, []),)
-    if n == 1:
-        return (Graph(1, [0]),)
-    candidates = []
-    for parent in triangle_free_graphs(n - 1):
-        masks = list(independent_set_masks(parent))
-        candidates.extend(_extensions(parent, masks))
-    return tuple(_dedupe(candidates))
+    return _grow(n, triangle_free_graphs, lambda parent: list(independent_set_masks(parent)))
+
+
+def _upto(family, n: int) -> List[Graph]:
+    return [g for k in range(1, n + 1) for g in family(k)]
 
 
 def graphs_upto(n: int) -> List[Graph]:
-    out = []
-    for k in range(1, n + 1):
-        out.extend(all_graphs(k))
-    return out
+    return _upto(all_graphs, n)
 
 
 def triangle_free_upto(n: int) -> List[Graph]:
-    out = []
-    for k in range(1, n + 1):
-        out.extend(triangle_free_graphs(k))
-    return out
+    return _upto(triangle_free_graphs, n)
 
 
 def connected_cubic_graphs(n: int) -> List[Graph]:

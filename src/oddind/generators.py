@@ -31,6 +31,7 @@ from .graphs import (
     complement,
     disjoint_union,
     from_edge_list,
+    is_triangle_free,
     join,
     metrics,
     square,
@@ -182,15 +183,10 @@ def half_graph(n: int) -> Graph:
 def complete_subdivision(n: int) -> Graph:
     if n < 2:
         raise BadParam("complete subdivision needs n >= 2")
-    pairs = list(combinations(range(n), 2))
-    edges = []
-    labels = [f"v{i}" for i in range(n)]
-    for idx, (i, j) in enumerate(pairs):
-        x = n + idx
-        labels.append(f"x{i},{j}")
-        edges.append((i, x))
-        edges.append((x, j))
-    return from_edge_list(n + len(pairs), edges, labels)
+    # the subdivision vertices follow the branch vertices, in pair order
+    g = subdivide_all_edges(complete(n))
+    labels = [f"v{i}" for i in range(n)] + [f"x{i},{j}" for i, j in combinations(range(n), 2)]
+    return Graph(g.n, g.adj, labels)
 
 
 def kbox(p: int, q: int) -> Graph:
@@ -287,7 +283,7 @@ def trianglefree_diam(kind: str, *params) -> Graph:
         return from_edge_list(n + m + t, edges)
     if kind == "box-k2":
         (g,) = params
-        if not metrics(g).is_triangle_free:
+        if not is_triangle_free(g):
             raise BadParam("box-k2 needs a triangle-free graph")
         return cartesian_product(g, complete(2))
     raise BadParam(f"unknown construction {kind!r}")
@@ -363,16 +359,12 @@ def _parse_spec(tokens) -> Tuple[Graph, list]:
         "empty": (empty, 1), "star": (star, 1), "hypercube": (hypercube, 1),
         "half-graph": (half_graph, 1), "complete-subdivision": (complete_subdivision, 1),
         "complete-bipartite": (complete_bipartite, 2), "kneser": (kneser, 2),
-        "kbox": (kbox, 2),
+        "kbox": (kbox, 2), "petersen": (petersen, 0), "hoffman-singleton": (hoffman_singleton, 0),
     }
     if name in simple:
         fn, arity = simple[name]
         vals, rest = _take_ints(rest, arity)
         return fn(*vals), rest
-    if name == "petersen":
-        return petersen(), rest
-    if name == "hoffman-singleton":
-        return hoffman_singleton(), rest
     if name == "complete-multipartite":
         vals = []
         while rest and rest[0] not in ("[", "]"):

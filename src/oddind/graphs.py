@@ -40,10 +40,6 @@ class TooLarge(GraphError):
     pass
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits_of(mask: int) -> Iterator[int]:
     """Yield set bit positions of ``mask`` in increasing order."""
     while mask:
@@ -103,7 +99,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return tuple(bits_of(self.adj[v]))
@@ -118,10 +114,10 @@ class Graph:
                 yield (v, v + 1 + off)
 
     def edge_count(self) -> int:
-        return sum(_popcount(r) for r in self.adj) // 2
+        return sum(r.bit_count() for r in self.adj) // 2
 
     def degree_sequence(self) -> Tuple[int, ...]:
-        return tuple(sorted(_popcount(r) for r in self.adj))
+        return tuple(sorted(r.bit_count() for r in self.adj))
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -204,7 +200,7 @@ class VertexSet:
         return tuple(bits_of(self.mask))
 
     def __len__(self) -> int:
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.n and bool(self.mask >> v & 1)
@@ -261,10 +257,13 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]], labels=None) -> Gra
 # -- unary operations ---------------------------------------------------------
 
 
-def complement(g: Graph) -> Graph:
+def _complement_rows(g: Graph) -> list:
     full = g.full_mask
-    rows = [~g.adj[v] & full & ~(1 << v) for v in range(g.n)]
-    return Graph(g.n, rows, g.labels)
+    return [~g.adj[v] & full & ~(1 << v) for v in range(g.n)]
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, _complement_rows(g), g.labels)
 
 
 def square(g: Graph) -> Graph:
@@ -439,30 +438,37 @@ def girth_at_least_5(g: Graph) -> bool:
     return True
 
 
+def is_triangle_free(g: Graph) -> bool:
+    return all(g.adj[u] & g.adj[v] == 0 for u, v in g.edges())
+
+
+def diameter(g: Graph) -> float:
+    """Largest distance, by BFS from every vertex; ``math.inf`` if disconnected."""
+    best: float = 0
+    for v in range(g.n):
+        dist = g.bfs_levels(v)
+        if min(dist) < 0:
+            return inf
+        best = max(best, max(dist))
+    return best
+
+
 def metrics(g: Graph) -> GraphMetrics:
     """Exact structural metrics; all-pairs BFS for the diameter."""
     if g.n == 0:
         return GraphMetrics(0, 0, Fraction(0), inf, 0, True,
                             (VertexSet(0), VertexSet(0)), True, True, True)
     degs = [g.degree(v) for v in range(g.n)]
-    diameter: float = 0
-    for v in range(g.n):
-        dist = g.bfs_levels(v)
-        if min(dist) < 0:
-            diameter = inf
-            break
-        diameter = max(diameter, max(dist))
     parts = _bipartition(g)
-    triangle_free = all(g.adj[u] & g.adj[v] == 0 for u, v in g.edges())
     return GraphMetrics(
         max_degree=max(degs),
         min_degree=min(degs),
         average_degree=Fraction(sum(degs), g.n),
         girth=_girth(g),
-        diameter=diameter,
+        diameter=diameter(g),
         is_bipartite=parts is not None,
         bipartition=None if parts is None else (VertexSet(g.n, parts[0]), VertexSet(g.n, parts[1])),
-        is_triangle_free=triangle_free,
+        is_triangle_free=is_triangle_free(g),
         is_claw_free=_is_claw_free(g),
         is_regular=max(degs) == min(degs),
     )

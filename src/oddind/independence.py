@@ -14,29 +14,32 @@ child is tested in O(1) big-int operations.  Three sound cuts prune it:
   ``N[x] + N[y]``) nor a *forcing pair*, so partners of a chosen vertex are
   dropped from the candidate pool;
 * bounds: a greedy clique cover of the pool bounds what the subtree can
-  add, and the global upper bounds stop the search once met: the
-  independence number, the even-degree regular bound
-  ``(d-1)/(2d-1) * n``, and the common-neighbor-floor bounds for regular
-  graphs;
+  add, and the search stops once it meets the independence number or an
+  upper end of the registry below;
 * parity doom: a vertex in ``seen & ~odd`` (even, positive count) with no
   neighbor left in the pool keeps an even count in every set of the
   subtree, and cannot join one because it is adjacent to the chosen set.
 
-Lower-bound seeds come from a maximum independent set of the square (always
-an OIS), from a bipartition class when all degrees are odd, and from odd
-subsets of a largest neighborhood when the girth is at least 5.
+The certified bounds and seeds on ``alpha_od`` form one registry (after
+``_OisSearch``), one function per fact returning a ``Bound`` with its value
+and anchor: the even-regular and common-neighbor upper ends, and the square,
+odd-bipartite and girth-5 seeds.  The solver, ``bounds.bound_report`` and
+the paper suite all read it.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from fractions import Fraction
+from math import floor
+from typing import Iterator, List, NamedTuple, Optional
 
 from .graphs import (
     Graph,
     VertexSet,
     _bipartition,
+    _complement_rows,
     _is_claw_free,
     bits_of,
     girth_at_least_5,
@@ -191,29 +194,17 @@ class _CliqueSolver:
 
     def run(self):
         full = (1 << self.n) - 1
-        if full:
-            self.root_bound = self._color_count(full)
-            self._expand(full, 0, 0)
-        else:
-            self.root_bound = 0
+        self.root_bound = self.color_bound(full)
+        self._expand(full, 0, 0)
 
-    def _color_count(self, P):
-        count = 0
-        Q = P
-        while Q:
-            count += 1
-            avail = Q
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                avail &= ~self.rows[v] & ~(1 << v)
-                Q &= ~(1 << v)
-        return count
+    def color_bound(self, P) -> int:
+        """Classes of the greedy coloring of ``P``: no clique in it is larger."""
+        bounds = self._coloring(P)[1]
+        return bounds[-1] if bounds else 0
 
-    def _expand(self, P, size, mask):
-        self.nodes += 1
-        if self.nodes & 2047 == 0 and self.deadline.expired():
-            self.timed_out = True
-            return
+    def _coloring(self, P):
+        """Greedy coloring of ``P`` into independent classes: the vertices in
+        class order, and each one's class number."""
         order = []
         bounds = []
         Q = P
@@ -227,6 +218,14 @@ class _CliqueSolver:
                 Q &= ~(1 << v)
                 order.append(v)
                 bounds.append(color)
+        return order, bounds
+
+    def _expand(self, P, size, mask):
+        self.nodes += 1
+        if self.nodes & 2047 == 0 and self.deadline.expired():
+            self.timed_out = True
+            return
+        order, bounds = self._coloring(P)
         for i in range(len(order) - 1, -1, -1):
             if size + bounds[i] <= self.best:
                 return
@@ -267,13 +266,18 @@ def _inverse(order) -> List[int]:
     return pos
 
 
+def _ordered_clique_solver(rows, n, deadline):
+    """A clique solver on ``rows`` renumbered by decreasing degree (tighter
+    colorings), with ``pos`` into that numbering and ``order`` back."""
+    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    pos = _inverse(order)
+    return _CliqueSolver([_relabel(rows[v], pos) for v in order], n, deadline), pos, order
+
+
 def _max_clique(rows, n, deadline, seed_mask=0):
     if n == 0:
         return 0, 0, 0, True, 0
-    # renumber by decreasing degree for tighter colorings
-    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    pos = _inverse(order)
-    solver = _CliqueSolver([_relabel(rows[v], pos) for v in order], n, deadline)
+    solver, pos, order = _ordered_clique_solver(rows, n, deadline)
     if seed_mask:
         solver.seed(_relabel(seed_mask, pos))
     solver.run()
@@ -281,18 +285,24 @@ def _max_clique(rows, n, deadline, seed_mask=0):
     return solver.best, back, solver.nodes, not solver.timed_out, solver.root_bound
 
 
+def _alpha_root_bound(g: Graph) -> int:
+    """The coloring bound that ``alpha(g)`` starts its search from (its
+    ``upper`` on a timeout), without the search."""
+    solver, _, _ = _ordered_clique_solver(_complement_rows(g), g.n, None)
+    return solver.color_bound(g.full_mask)
+
+
 def alpha(g: Graph, budget: Optional[float] = None, seed=None) -> SolveResult:
     """Exact maximum independent set via clique search on the complement."""
     deadline = Deadline(default_budget() if budget is None else budget)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
-    full = g.full_mask
-    comp_rows = [~g.adj[v] & full & ~(1 << v) for v in range(g.n)]
     seed_mask = 0
     if seed is not None:
         seed_mask = _as_mask(g, seed)
         if not is_independent(g, seed_mask):
             raise ValueError("seed is not independent")
-    best, mask, nodes, exact, root_bound = _max_clique(comp_rows, g.n, deadline, seed_mask)
+    best, mask, nodes, exact, root_bound = _max_clique(_complement_rows(g), g.n, deadline,
+                                                       seed_mask)
     return SolveResult(
         value=best,
         witness=VertexSet(g.n, mask),
@@ -467,32 +477,95 @@ class _OisSearch:
                 return
 
 
-def lower_bound_seed(g: Graph, square_mask: int) -> int:
-    """Largest verified OIS among the cheap lower-bound seeds, as a mask.
+# -- the registry of certified bounds and seeds ---------------------------------
 
-    The seeds, in order (a later one wins only when strictly larger): a
-    singleton; ``square_mask``, an independent set of the square and so an
-    OIS; the larger bipartition class when every degree is odd; and at
-    girth at least 5, an odd number of neighbors of a vertex of maximum
-    degree (any other vertex sees at most one of them).
-    """
-    n = g.n
-    if n == 0:
+
+class Bound(NamedTuple):
+    """A certified end of ``alpha_od``: value, anchor, report name and note,
+    and for a seed its OIS."""
+
+    value: Fraction
+    anchor: str
+    name: str = ""
+    note: str = ""
+    mask: int = 0
+
+
+def _regular_degree(g: Graph) -> Optional[int]:
+    d = g.degree(0) if g.n else None
+    return d if all(g.degree(v) == d for v in range(g.n)) else None
+
+
+def even_regular_upper(g: Graph) -> Optional[Bound]:
+    """``alpha_od <= (d-1)n/(2d-1)`` on a ``d``-regular graph with ``d`` even."""
+    d = _regular_degree(g)
+    if d is None or d < 2 or d % 2:
+        return None
+    return Bound(Fraction((d - 1) * g.n, 2 * d - 1), "even-regular-upper",
+                 "alpha-od <= (d-1)n/(2d-1)")
+
+
+def common_neighbor_upper(g: Graph) -> Optional[Bound]:
+    """On a ``d``-regular graph whose edges have at least ``L`` common
+    neighbors: ``(d-L-1)n/(2d-L-1)`` if ``d-L`` is even, else
+    ``(d-L)n/(2d-L)``.  ``L <= d-1``, so no denominator vanishes."""
+    d = _regular_degree(g)
+    if not d:
+        return None
+    lam = min((g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges())
+    if (d - lam) % 2 == 0:
+        return Bound(Fraction((d - lam - 1) * g.n, 2 * d - lam - 1), "common-neighbor-upper",
+                     "alpha-od <= (d-L-1)n/(2d-L-1)", f"floor L={lam}, d-L even")
+    return Bound(Fraction((d - lam) * g.n, 2 * d - lam), "common-neighbor-upper",
+                 "alpha-od <= (d-L)n/(2d-L)", f"floor L={lam}, d-L odd")
+
+
+def upper_bounds(g: Graph) -> List[Bound]:
+    """The registry upper ends that apply to ``g``, in report order."""
+    return [b for b in (even_regular_upper(g), common_neighbor_upper(g)) if b]
+
+
+def square_seed(square_mask: int) -> Bound:
+    """``alpha(G^2) <= alpha_od``: an independent set of the square is an
+    OIS, since no vertex sees two of its members."""
+    return Bound(Fraction(square_mask.bit_count()), "square-independence",
+                 "alpha-od >= alpha(square)", mask=square_mask)
+
+
+def odd_bipartite_seed(g: Graph) -> Optional[Bound]:
+    """The larger bipartition class when every degree is odd; on a regular
+    graph it has ``alpha = n/2`` vertices, so it is optimal."""
+    if any(g.degree(v) % 2 == 0 for v in range(g.n)):
+        return None
+    parts = _bipartition(g)
+    if not parts:
+        return None
+    cls = max(parts, key=int.bit_count)
+    return Bound(Fraction(cls.bit_count()), ODD_REGULAR_BIPARTITE, mask=cls)
+
+
+def girth5_seed(g: Graph) -> Optional[Bound]:
+    """At girth at least 5, an odd number of neighbors of a vertex of
+    maximum degree (any other vertex sees at most one): ``maxdeg - eps``."""
+    v = max(range(g.n), key=lambda u: (g.degree(u), -u), default=None)
+    if v is None or not g.adj[v] or not girth_at_least_5(g):
+        return None
+    row = g.adj[v]
+    if row.bit_count() % 2 == 0:
+        row ^= 1 << (row.bit_length() - 1)  # keep the lowest deg - 1
+    return Bound(Fraction(row.bit_count()), "girth5-neighborhood", "alpha-od >= maxdeg - eps",
+                 mask=row)
+
+
+def lower_bound_seed(g: Graph, square_mask: int) -> int:
+    """Largest verified OIS among the registry seeds, as a mask: in order, a
+    singleton, ``square_seed``, ``odd_bipartite_seed`` and ``girth5_seed``;
+    a later one wins only when strictly larger."""
+    if g.n == 0:
         return 0
-    degs = [g.degree(v) for v in range(n)]
-    seeds = [1, square_mask]
-    if all(d % 2 == 1 for d in degs):
-        parts = _bipartition(g)
-        if parts is not None:
-            seeds.append(max(parts, key=int.bit_count))
-    v = max(range(n), key=lambda u: (degs[u], -u))
-    if degs[v] and girth_at_least_5(g):
-        row = g.adj[v]
-        if degs[v] % 2 == 0:
-            row ^= 1 << (row.bit_length() - 1)  # keep the lowest deg - 1
-        seeds.append(row)
     best = 0
-    for m in seeds:
+    seeds = (odd_bipartite_seed(g), girth5_seed(g))
+    for m in [1, square_mask] + [s.mask for s in seeds if s]:
         if m.bit_count() > best.bit_count() and is_odd_independent(g, m):
             best = m
     return best
@@ -504,30 +577,17 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
         return SolveResult(0, VertexSet(0), BRANCH_BOUND, nodes=0)
     if g.edge_count() == 0:
         return SolveResult(n, VertexSet(n, g.full_mask), BRANCH_BOUND)
-    degs = [g.degree(v) for v in range(n)]
-    regular = min(degs) == max(degs)
 
-    if regular and degs[0] % 2 == 1:
-        parts = _bipartition(g)
-        if parts is not None:
-            cls = max(parts, key=int.bit_count)
-            return SolveResult(cls.bit_count(), VertexSet(n, cls), ODD_REGULAR_BIPARTITE)
+    cls = odd_bipartite_seed(g) if _regular_degree(g) else None
+    if cls:
+        return SolveResult(cls.mask.bit_count(), VertexSet(n, cls.mask), ODD_REGULAR_BIPARTITE)
 
     remaining = deadline.remaining()
     slice_budget = None if remaining is None else min(max(remaining, 0.01) / 3, 30.0)
 
     alpha_res = alpha(g, budget=slice_budget)
     upper = alpha_res.value if alpha_res.exact else alpha_res.upper
-    if regular:
-        d = degs[0]
-        if d % 2 == 0 and d >= 2:
-            upper = min(upper, (d - 1) * n // (2 * d - 1))
-        lam = min((g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges())
-        if (d - lam) % 2 == 0:
-            if 2 * d - lam - 1 > 0:
-                upper = min(upper, (d - lam - 1) * n // (2 * d - lam - 1))
-        else:
-            upper = min(upper, (d - lam) * n // (2 * d - lam))
+    upper = min([upper] + [floor(b.value) for b in upper_bounds(g)])
 
     sq = square(g)
     sq_res = alpha(sq, budget=slice_budget)
@@ -596,30 +656,22 @@ def alpha_od_bounded(g: Graph, k: int) -> SolveResult:
 
     if k < 1:
         raise ValueError("k must be at least 1")
-    best, best_mask = 0, 0
     nodes = 0
-    for j in range(min(k, g.n), 0, -1):
-        if j <= best:
-            break
+
+    def subsets(j):
+        nonlocal nodes
         for combo in combinations(range(g.n), j):
             nodes += 1
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if is_independent(g, mask) and _outside_parity_ok(g.adj, mask):
-                best, best_mask = j, mask
-                break
-        # continue downward only while nothing of larger size was found
-    alpha_le_k = True
-    if k < g.n:
-        for combo in combinations(range(g.n), k + 1):
-            nodes += 1
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if is_independent(g, mask):
-                alpha_le_k = False
-                break
+            yield sum(1 << v for v in combo)
+
+    # the largest size j <= k with an OIS: the first such j, going down
+    best_mask = 0
+    for j in range(min(k, g.n), 0, -1):
+        best_mask = next((m for m in subsets(j) if is_odd_independent(g, m)), 0)
+        if best_mask:
+            break
+    best = best_mask.bit_count()
+    alpha_le_k = k >= g.n or not any(is_independent(g, m) for m in subsets(k + 1))
     return SolveResult(best, VertexSet(g.n, best_mask), BOUNDED_K,
                        exact=alpha_le_k, lower=best,
                        upper=best if alpha_le_k else None, nodes=nodes)

@@ -38,12 +38,13 @@ from .constructions import (
     q8_112_ois,
     q8_turan_ois,
 )
-from .graphs import Graph, cartesian_product, complement, metrics, square, t_copies, disjoint_union
+from .graphs import Graph, complement, diameter, disjoint_union, is_triangle_free, square, t_copies
 from .independence import (
     alpha,
     alpha_od,
     alpha_od_bruteforce,
     alpha_od_clawfree,
+    even_regular_upper,
     is_odd_independent,
     odd_independent_set_masks,
     odd_profile,
@@ -66,6 +67,13 @@ def _check(item, name, expected, computed, ok=None) -> Check:
     if ok is None:
         ok = expected == computed
     return Check(item, name, str(expected), str(computed), bool(ok))
+
+
+def _ois_check(item, name, g, s, size) -> Check:
+    """``s`` is an OIS of ``g`` with ``size`` vertices."""
+    ok = is_odd_independent(g, s)
+    return _check(item, name, f"{size}, OIS", f"{len(s)}, {'OIS' if ok else 'not OIS'}",
+                  ok=ok and len(s) == size)
 
 
 # -- item 1: paths and cycles ---------------------------------------------------
@@ -161,13 +169,9 @@ def item_hypercubes(budget=None) -> List[Check]:
                       ok=r4.exact and r4.value == 6 and dt < 10.0))
     q8 = gen.hypercube(8)
     s112, s104 = q8_112_ois(), q8_turan_ois()
-    out.append(_check(4, "Q_8 112-set verifies", "112, OIS",
-                      f"{len(s112)}, {'OIS' if is_odd_independent(q8, s112) else 'not OIS'}",
-                      ok=len(s112) == 112 and is_odd_independent(q8, s112)))
-    out.append(_check(4, "Q_8 104-set verifies", "104, OIS",
-                      f"{len(s104)}, {'OIS' if is_odd_independent(q8, s104) else 'not OIS'}",
-                      ok=len(s104) == 104 and is_odd_independent(q8, s104)))
-    ub8 = (Fraction(1) - Fraction(1, 15)) * 128
+    out.append(_ois_check(4, "Q_8 112-set verifies", q8, s112, 112))
+    out.append(_ois_check(4, "Q_8 104-set verifies", q8, s104, 104))
+    ub8 = even_regular_upper(q8).value
     out.append(_check(4, "Q_8 even-d upper bound", 119, ub8.__floor__(),
                       ok=int(ub8) == 119 and 112 <= 119))
     rep = bound_report(q8, (112, 119), 4, name="Q_8")
@@ -178,10 +182,8 @@ def item_hypercubes(budget=None) -> List[Check]:
     q6 = gen.hypercube(6)
     s24 = construct_mu_ois(gen.hypercube(4), cube_layer_ois(1),
                            flip_last_coordinate(4), gen.hypercube(2))
-    out.append(_check(4, "Q_6 lower bound 24 by construction", "24, OIS",
-                      f"{len(s24)}, {'OIS' if is_odd_independent(q6, s24) else 'not OIS'}",
-                      ok=len(s24) == 24 and is_odd_independent(q6, s24)))
-    ub6 = Fraction(5 * 64, 11).__floor__()
+    out.append(_ois_check(4, "Q_6 lower bound 24 by construction", q6, s24, 24))
+    ub6 = even_regular_upper(q6).value.__floor__()
     out.append(_check(4, "Q_6 even-regular upper bound", 29, ub6))
     r6 = alpha_od(q6, budget=budget)
     out.append(_check(4, "alpha-od(Q_6) exact", 24,
@@ -470,10 +472,7 @@ def item_cubic_census(budget=None) -> List[Check]:
     # triangle has an odd independent 3-set, so only the Wagner graph
     # (triangle-free, diameter 2, alpha 3) remains.
     hits = cubic_census(8)
-    shapes = []
-    for g in hits:
-        met = metrics(g)
-        shapes.append((met.is_triangle_free, met.diameter, alpha(g).value))
+    shapes = [(is_triangle_free(g), diameter(g), alpha(g).value) for g in hits]
     computed = str(len(hits)) + "".join(
         f" ({'triangle-free' if tf else 'with triangles'}, diameter {d}, alpha {a})"
         for tf, d, a in shapes)

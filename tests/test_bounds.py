@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from oddind.bounds import (
 )
 from oddind.coloring import chi_square
 from oddind.graphs import BadParam, complement, disjoint_union, metrics
+from oddind.independence import alpha_od_bounded
 
 
 def test_bound_report_petersen():
@@ -58,11 +60,32 @@ def test_bound_report_intervals():
     cube = next(e for e in rep.entries if e.anchor == "cube-even-upper")
     assert cube.satisfied
     assert cube.rhs == Fraction(128 * 14, 15)
+    assert any(e.name == "alpha-od >= alpha(square)" and e.satisfied for e in rep.entries)
     # undecidable interval lands in omitted, not in entries
     rep = bound_report(gen.cycle(5), (1, 3), 4)
     names = {e.name for e in rep.entries}
     assert "alpha-od * chi-so >= n" not in names  # product range [4, 12] vs 5
     assert any("alpha-od * chi-so >= n" == n for n, _ in rep.omitted)
+    # a result with no upper end is the interval [lower, n], not exact:
+    # Petersen has no odd independent pair, so the scan up to 2 finds only 1
+    partial = alpha_od_bounded(gen.petersen(), 2)
+    assert not partial.exact and partial.upper is None
+    rep = bound_report(gen.petersen(), partial, 6)
+    assert rep.all_satisfied()
+    assert ("alpha-od * chi-so >= n", "interval cannot decide") in rep.omitted
+
+
+def test_bound_report_square_entry_follows_budget():
+    # alpha(square(Q8)) does not finish in 0.2 s: its range [found, 64]
+    # cannot decide alpha-od in [20, 119], and the report keeps the budget
+    t0 = time.monotonic()
+    rep = bound_report(gen.hypercube(8), (20, 119), 4, budget=0.2)
+    assert time.monotonic() - t0 < 2.0
+    assert ("alpha-od >= alpha(square)", "interval cannot decide") in rep.omitted
+    # on Q7 the root coloring bound 32 (alpha(square) = 16) decides it unsolved
+    rep = bound_report(gen.hypercube(7), 64, 2)
+    e = next(x for x in rep.entries if x.anchor == "square-independence")
+    assert e.satisfied and e.rhs == 32
 
 
 def test_bound_report_cube_odd():

@@ -67,7 +67,8 @@ def test_coloring_type():
 
 def test_chromatic_number():
     assert chromatic_number(gen.complete(4)).value == 4
-    assert chromatic_number(gen.cycle(5)).value == 3
+    c5 = chromatic_number(gen.cycle(5))
+    assert c5.value == 3 and c5.nodes > 0  # the refuted 2-coloring is counted
     assert chromatic_number(gen.complete_bipartite(3, 4)).value == 2
     for g in (gen.path(4), gen.cycle(5), gen.complete(4), gen.star(5)):
         assert chromatic_number(g).value == brute_chromatic(g)

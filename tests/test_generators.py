@@ -117,18 +117,17 @@ def test_feasible_combo_shapes():
 
 
 def test_trianglefree_diam():
-    from oddind.bounds import _diameter
-    from oddind.graphs import complement
+    from oddind.graphs import complement, diameter
 
     g = gen.trianglefree_diam("matching-deleted", 3, 2, 1)
     assert metrics(g).is_triangle_free
-    assert _diameter(g) == 3 and _diameter(complement(g)) == 3
+    assert diameter(g) == 3 and diameter(complement(g)) == 3
     g = gen.trianglefree_diam("subdivided-matching", 3, 2, 1)
     assert metrics(g).is_triangle_free
-    assert _diameter(g) == 2 and _diameter(complement(g)) == 2
+    assert diameter(g) == 2 and diameter(complement(g)) == 2
     g = gen.trianglefree_diam("box-k2", gen.cycle(5))
     assert metrics(g).is_triangle_free
-    assert _diameter(g) == 3 and _diameter(complement(g)) == 2
+    assert diameter(g) == 3 and diameter(complement(g)) == 2
     with pytest.raises(BadParam):
         gen.trianglefree_diam("box-k2", gen.complete(3))
     with pytest.raises(BadParam):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import ceil
 
 import pytest
@@ -9,6 +10,7 @@ from oddind import generators as gen
 from oddind.graphs import VertexSet, complement, from_edge_list, square
 from oddind.independence import (
     NotClawFree,
+    _alpha_root_bound,
     _outside_parity_ok,
     _relabel,
     alpha,
@@ -17,11 +19,18 @@ from oddind.independence import (
     alpha_od_bruteforce,
     alpha_od_clawfree,
     alpha_square,
+    common_neighbor_upper,
+    even_regular_upper,
+    girth5_seed,
     is_independent,
     is_odd_independent,
+    lower_bound_seed,
+    odd_bipartite_seed,
     odd_independent_set_masks,
     odd_profile,
     pair_classification,
+    square_seed,
+    upper_bounds,
 )
 from oddind.results import Deadline
 
@@ -229,6 +238,52 @@ def test_parity_kernel_matches_definition():
         want = [m for m in range(1 << n)
                 if _independent_by_definition(g, m) and _parity_by_definition(g, m)]
         assert sorted(odd_independent_set_masks(g)) == want, g.adj
+
+
+def test_ois_walk_groups_sets_by_lowest_vertex():
+    # the chi-so cover splits this list at pivot boundaries instead of
+    # bucketing it, so the order is part of the contract
+    rng = random.Random(20261019)
+    for n in [*range(15)] * 2:
+        p = rng.random()
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p])
+        masks = odd_independent_set_masks(g)
+        keys = [(m & -m).bit_length() for m in masks]  # 1 + lowest vertex, 0 if empty
+        assert masks[0] == 0 and keys.count(0) == 1, g.adj
+        assert keys == sorted(keys), g.adj
+
+
+def _registry_ends(g):
+    """Upper ends, then lower ends with their seed masks, of the registry."""
+    sq = alpha(square(g))
+    assert sq.exact and _alpha_root_bound(square(g)) >= sq.value
+    lowers = [square_seed(sq.witness.mask), odd_bipartite_seed(g), girth5_seed(g)]
+    return upper_bounds(g), [b for b in lowers if b is not None]
+
+
+def test_registry_is_sound():
+    from oddind.enumeration import graphs_upto
+
+    named = [gen.hypercube(d) for d in range(3, 7)]
+    named += [gen.petersen(), gen.hoffman_singleton(), gen.kneser(8, 2)]
+    for g in graphs_upto(7) + named:
+        res = alpha_od_bruteforce(g) if g.n <= 7 else alpha_od(g)
+        assert res.exact
+        uppers, lowers = _registry_ends(g)
+        for b in uppers:
+            assert b.value >= res.value, (g.adj, b)
+        for b in lowers:
+            assert b.value <= res.value and b.mask.bit_count() == b.value, (g.adj, b)
+            assert is_odd_independent(g, b.mask), (g.adj, b)
+        seed = lower_bound_seed(g, alpha(square(g)).witness.mask)
+        assert is_odd_independent(g, seed) and seed.bit_count() <= res.value
+    # each upper end fires where the paper applies it
+    assert even_regular_upper(gen.hypercube(6)).value == Fraction(5 * 64, 11)
+    assert even_regular_upper(gen.hypercube(5)) is None
+    assert common_neighbor_upper(gen.hypercube(7)).value == 64
+    assert odd_bipartite_seed(gen.hypercube(5)).value == 16
+    assert girth5_seed(gen.hoffman_singleton()).value == 7
 
 
 def test_relabel_matches_per_bit_map():
