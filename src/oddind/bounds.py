@@ -111,7 +111,9 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
     (exact or interval) values of the two parameters.
 
     Interval inputs are certified conservatively; an entry that the
-    interval cannot decide is listed under ``omitted``.
+    interval cannot decide is listed under ``omitted``.  The lower end of
+    ``chi_so`` is raised to ``ceil(n / upper(alpha_od))`` by
+    ``alpha_od * chi_so >= n``.
     """
     n = g.n
     report = BoundReport(name or f"graph(n={n},m={g.edge_count()})")
@@ -119,6 +121,10 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
         return report
     a_lo, a_hi = _as_range(alpha_od_value, n)
     c_lo, c_hi = _as_range(chi_so_value, n)
+    if a_hi > 0:
+        # alpha_od * chi_so >= n; kept inside the given range, so that
+        # inconsistent inputs still show as violations
+        c_lo = max(c_lo, min(c_hi, -(-n // a_hi)))
     degs = [g.degree(v) for v in range(n)]
     delta = max(degs)
     sq = square(g)

@@ -16,7 +16,7 @@ from .formats import dumps, guess_format, loads
 from .generators import parse_family
 from .graphs import BadParam, Graph, GraphError
 from .independence import alpha, alpha_od, alpha_square, is_independent, is_odd_independent, odd_profile
-from .results import default_budget
+from .results import Deadline, default_budget
 from .suite import render, run_suite, suite_failed
 
 EXIT_OK = 0
@@ -107,11 +107,16 @@ def cmd_verify_coloring(args) -> int:
 
 def cmd_bounds(args) -> int:
     g = _read_graph(args.graph, args.format)
-    budget = args.budget
-    aod = alpha_od(g, budget=budget)
-    cso = chi_so_exact(g, budget=budget)
+    # one budget for the three solves: each takes what the others left
+    deadline = Deadline(args.budget)
+
+    def left():
+        return max(deadline.remaining(), 0.0)
+
+    aod = alpha_od(g, budget=left())
+    cso = chi_so_exact(g, budget=left())
     hit_budget = not (aod.exact and cso.exact)
-    report = bound_report(g, aod, cso, budget=budget)
+    report = bound_report(g, aod, cso, budget=left())
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     else:

@@ -300,7 +300,8 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
             for v in bits_of(cmask):
                 colors[keep[v]] = ci
     if not exact:
-        k_up, witness = chi_so_upper_from_partition(g)
+        seed = greedy_ois_lower(g, budget=max(deadline.remaining(), 0.0))
+        k_up, witness = chi_so_upper_from_partition(g, [seed])
         return SolveResult(k_up, witness, "ois-partition", exact=False,
                            lower=lower, upper=k_up, nodes=nodes,
                            millis=deadline.elapsed_ms(), note="budget exhausted")
@@ -369,10 +370,11 @@ def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
 
 def greedy_ois_lower(g: Graph, budget: Optional[float] = None) -> VertexSet:
     """Cheap verified OIS used as a lower-bound seed: ``lower_bound_seed``
-    given a maximum independent set of the square (solved within 10 s)."""
+    given an independent set of the square, solved within ``budget`` (at
+    most 10 s)."""
     if g.n == 0:
         return VertexSet(0)
-    sq = alpha_square(g, budget=min(10.0, budget) if budget else 10.0)
+    sq = alpha_square(g, budget=10.0 if budget is None else min(10.0, budget))
     return VertexSet(g.n, lower_bound_seed(g, sq.witness.mask))
 
 

@@ -18,6 +18,7 @@ from .graphs import Graph, VertexSet, _bipartition, bits_of, cartesian_product, 
 from .independence import _as_mask, alpha, is_odd_independent
 from .generators import complete
 from .results import BudgetExceeded
+from .symmetry import is_automorphism
 
 
 class BadAutomorphism(ValueError):
@@ -48,11 +49,8 @@ def _orbit_lengths(perm: Sequence[int]):
 
 def _check_eta(g: Graph, eta: Sequence[int]) -> Tuple[int, ...]:
     eta = tuple(eta)
-    if sorted(eta) != list(range(g.n)):
-        raise BadAutomorphism("eta is not a permutation of the vertices")
-    for u, v in g.edges():
-        if not g.has_edge(eta[u], eta[v]):
-            raise BadAutomorphism(f"eta does not preserve edge ({u}, {v})")
+    if not is_automorphism(g.adj, eta):
+        raise BadAutomorphism("eta is not an automorphism")
     for v in range(g.n):
         if not g.has_edge(v, eta[v]):
             raise BadAutomorphism(f"eta({v}) is not a neighbor of {v}")

@@ -7,7 +7,7 @@ search below branches over the hereditary envelope (independent sets).  Each
 node carries two bitsets of the chosen rows: ``odd``, their XOR (the vertices
 with an odd count), and ``seen``, their OR (the vertices with a positive
 count).  A chosen independent set is an OIS iff ``seen & ~odd == 0``, so each
-child is tested in O(1) big-int operations.  Three sound cuts prune it:
+child is tested in O(1) big-int operations.  Four sound cuts prune it:
 
 * pair cuts: no OIS contains a *forbidden pair* (nonadjacent ``x, y`` with a
   common neighbor ``z`` whose closed neighborhood lies inside
@@ -18,7 +18,12 @@ child is tested in O(1) big-int operations.  Three sound cuts prune it:
   upper end of the registry below;
 * parity doom: a vertex in ``seen & ~odd`` (even, positive count) with no
   neighbor left in the pool keeps an even count in every set of the
-  subtree, and cannot join one because it is adjacent to the chosen set.
+  subtree, and cannot join one because it is adjacent to the chosen set;
+* root orbits: the root skips a vertex that a proved automorphism maps
+  onto an earlier root vertex, since the automorphism maps each OIS of its
+  branch onto one of the same size in an earlier branch.  The group comes
+  from ``symmetry.orbits``, proved only once the root is about to enter a
+  second branch with ``best < upper``, in a third of the remaining time.
 
 The certified bounds and seeds on ``alpha_od`` form one registry (after
 ``_OisSearch``), one function per fact returning a ``Bound`` with its value
@@ -56,6 +61,7 @@ from .results import (
     SolveResult,
     default_budget,
 )
+from .symmetry import orbits
 
 
 class NotClawFree(ValueError):
@@ -440,12 +446,32 @@ class _OisSearch:
         self.upper = upper
         self.nodes = 0
         self.timed_out = False
+        self.least = None  # least vertex of each orbit, once proved
+        self.generators = []
+        self.skipped = 0  # root branches cut by the orbits
 
     def run(self):
-        self._expand(0, (1 << self.n) - 1, 0, 0)
+        self._expand(0, (1 << self.n) - 1, 0, 0, True)
         self.best_mask = _relabel(self.best_mask, self.order)
 
-    def _expand(self, s, p, odd, seen):
+    def _symmetric(self, v) -> bool:
+        """Root orbit cut: whether a proved automorphism maps root vertex
+        ``v`` onto an earlier one.  It then maps every OIS of ``v``'s branch
+        onto an OIS of the same size that an earlier branch covered.
+
+        The group is proved when the search first enters a second root
+        branch with ``best < upper``, within a third of the remaining time.
+        """
+        if self.least is None:
+            if v == 0 or self.best >= self.upper:
+                return False
+            self.least, self.generators = orbits(self.rows, _slice(self.deadline))
+        if self.least[v] < v:
+            self.skipped += 1
+            return True
+        return False
+
+    def _expand(self, s, p, odd, seen, root=False):
         self.nodes += 1
         if self.nodes & 1023 == 0 and self.deadline.expired():
             self.timed_out = True
@@ -464,6 +490,8 @@ class _OisSearch:
             bit = p & -p
             v = bit.bit_length() - 1
             p ^= bit
+            if root and self._symmetric(v):
+                continue
             row = rows[v]
             child_odd = odd ^ row
             child_seen = seen | row
@@ -571,6 +599,21 @@ def lower_bound_seed(g: Graph, square_mask: int) -> int:
     return best
 
 
+def _ois_search(g: Graph, sq: Graph, deadline: Deadline, best_mask, upper) -> _OisSearch:
+    """The solver's search on ``g``: the pair cuts found within ``deadline``,
+    and the vertices by decreasing degree in the square ``sq``."""
+    bad = pair_classification(g, deadline).pair_rows(g.n)
+    sq_deg = [r.bit_count() for r in sq.adj]
+    order = sorted(range(g.n), key=lambda v: (-sq_deg[v], v))
+    return _OisSearch(g, bad, order, deadline, best_mask, upper)
+
+
+def _slice(deadline: Deadline) -> Deadline:
+    """A third of what ``deadline`` has left, at most 30 s (unbounded if it is)."""
+    remaining = deadline.remaining()
+    return Deadline(None if remaining is None else min(max(remaining, 0.01) / 3, 30.0))
+
+
 def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     n = g.n
     if n == 0:
@@ -582,8 +625,7 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     if cls:
         return SolveResult(cls.mask.bit_count(), VertexSet(n, cls.mask), ODD_REGULAR_BIPARTITE)
 
-    remaining = deadline.remaining()
-    slice_budget = None if remaining is None else min(max(remaining, 0.01) / 3, 30.0)
+    slice_budget = _slice(deadline).remaining()
 
     alpha_res = alpha(g, budget=slice_budget)
     upper = alpha_res.value if alpha_res.exact else alpha_res.upper
@@ -597,19 +639,22 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     if best_mask.bit_count() >= upper:
         return SolveResult(upper, VertexSet(n, best_mask), BRANCH_BOUND, nodes=nodes)
 
-    pairs = pair_classification(g, deadline)
-    bad = pairs.pair_rows(n)
-    sq_deg = [r.bit_count() for r in sq.adj]
-    order = sorted(range(n), key=lambda v: (-sq_deg[v], v))
-    search = _OisSearch(g, bad, order, deadline, best_mask, upper)
+    search = _ois_search(g, sq, deadline, best_mask, upper)
     search.run()
     nodes += search.nodes
     value = search.best
+    notes = []
+    if search.least is not None:
+        notes.append(f"root orbit cut: {len(set(search.least))} orbit(s) from"
+                     f" {len(search.generators)} proved generator(s),"
+                     f" {search.skipped} root branch(es) skipped")
     if search.timed_out:
+        notes.append("budget exhausted")
         return SolveResult(value, VertexSet(n, search.best_mask), BRANCH_BOUND,
                            exact=False, lower=value, upper=upper, nodes=nodes,
-                           note="budget exhausted")
-    return SolveResult(value, VertexSet(n, search.best_mask), BRANCH_BOUND, nodes=nodes)
+                           note="; ".join(notes))
+    return SolveResult(value, VertexSet(n, search.best_mask), BRANCH_BOUND, nodes=nodes,
+                       note="; ".join(notes))
 
 
 def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
@@ -629,6 +674,7 @@ def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
     value = lower = upper = nodes = 0
     exact = True
     methods = set()
+    notes = {}  # distinct component notes, in order
     for comp in comps:
         sub, keep = g.induced(comp)
         res = _component_alpha_od(sub, deadline)
@@ -640,10 +686,12 @@ def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
         nodes += res.nodes
         exact = exact and res.exact
         methods.add(res.method)
+        notes.setdefault(res.note)
     method = methods.pop() if len(methods) == 1 else BRANCH_BOUND
     return SolveResult(value, VertexSet(g.n, total_mask), method, exact=exact,
                        lower=lower, upper=upper if not exact else value,
-                       nodes=nodes, millis=deadline.elapsed_ms())
+                       nodes=nodes, millis=deadline.elapsed_ms(),
+                       note="; ".join(n for n in notes if n))
 
 
 def alpha_od_bounded(g: Graph, k: int) -> SolveResult:

@@ -1,0 +1,250 @@
+"""Automorphisms of a graph given as bitset rows, each one proved before use.
+
+The solvers cut symmetric branches only with a group they have proved, so
+every permutation this module returns has passed ``is_automorphism``
+against the adjacency rows.  The tools are those of individualisation and
+refinement (McKay & Piperno, "Practical graph isomorphism, II", JSC 60,
+2014):
+
+* refinement splits an ordered partition, a list of cell bitmasks, until
+  it is equitable: every vertex of a cell has the same number of
+  neighbours in each cell (``equitable`` starts from a single cell).  Every
+  choice depends on the structure alone (counts, sizes, cell positions),
+  never on vertex labels, so an automorphism maps the refinement of a
+  partition onto the refinement of its image, cell by cell, and the two
+  runs write the same trace;
+* ``find_automorphism(rows, a, b)`` individualises ``a`` on one side and
+  ``b`` on the other, refines both, and backtracks over the images of the
+  first non-singleton cell until the cells are singletons; it spends at
+  most ``NODE_CAP`` search nodes;
+* ``orbits`` joins, by union-find, the cycles of every verified generator:
+  the classes are the orbits of the group those generators span.
+
+If the deadline stops ``orbits`` early, the classes it returns are still
+orbits of a subgroup, so a cut that reads them stays sound.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+from .graphs import bits_of
+from .results import BudgetExceeded, Deadline
+
+NODE_CAP = 256  # search nodes per target of find_automorphism
+
+
+def is_automorphism(rows: Sequence[int], perm: Sequence[int]) -> bool:
+    """Whether ``perm`` permutes the vertices and maps every neighbourhood
+    onto the neighbourhood of the image: ``perm(N(v)) == N(perm(v))``."""
+    n = len(rows)
+    if len(perm) != n or sorted(perm) != list(range(n)):
+        return False
+    for v in range(n):
+        image = 0
+        row = rows[v]
+        while row:
+            low = row & -row
+            image |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        if image != rows[perm[v]]:
+            return False
+    return True
+
+
+def _refine(rows, cells: List[int], cell_of: List[int], queue: Sequence[int],
+            deadline: Optional[Deadline] = None) -> list:
+    """Refine the partition in place until it is equitable; return the trace.
+
+    ``cells`` lists the cell bitmasks and ``cell_of`` each vertex's cell.
+    ``queue`` lists the cells to split with; it is enough to start from the
+    cells that changed since the partition was last equitable.  Only cells
+    that meet a splitter's neighbourhood are visited, in position order.  A
+    split cell keeps the fragment with the fewest neighbours in the
+    splitter at its position and appends the others in increasing count.
+    Raises ``BudgetExceeded`` once ``deadline`` expires.
+    """
+    trace = []
+    queue = list(queue)
+    queued = [False] * len(cells)
+    for w in queue:
+        queued[w] = True
+    qi = 0
+    while qi < len(queue):
+        if deadline is not None and deadline.expired():
+            raise BudgetExceeded("refinement hit its budget")
+        w = queue[qi]
+        qi += 1
+        queued[w] = False
+        splitter = cells[w]
+        touched = 0
+        bits = splitter
+        while bits:
+            low = bits & -bits
+            touched |= rows[low.bit_length() - 1]
+            bits ^= low
+        # each touched vertex of a non-singleton cell, by cell and count
+        hit = {}
+        bits = touched
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            x = low.bit_length() - 1
+            c = cell_of[x]
+            cell = cells[c]
+            if cell & (cell - 1):
+                groups = hit.setdefault(c, {})
+                count = (rows[x] & splitter).bit_count()
+                groups[count] = groups.get(count, 0) | low
+        for c in sorted(hit):
+            groups = hit[c]
+            untouched = cells[c] & ~touched
+            if untouched:
+                groups[0] = untouched
+            if len(groups) == 1:
+                continue
+            keys = sorted(groups)
+            frags = [groups[k] for k in keys]
+            trace.append((w, c, tuple([(k, f.bit_count()) for k, f in zip(keys, frags)])))
+            idx = [c] + list(range(len(cells), len(cells) + len(frags) - 1))
+            cells[c] = frags[0]
+            for j in range(1, len(frags)):
+                cells.append(frags[j])
+                queued.append(False)
+                bits = frags[j]
+                while bits:
+                    low = bits & -bits
+                    cell_of[low.bit_length() - 1] = idx[j]
+                    bits ^= low
+            # all fragments if the cell still waited, else all but a largest one
+            skip = -1
+            if not queued[c]:
+                sizes = [f.bit_count() for f in frags]
+                skip = sizes.index(max(sizes))
+            for j, i in enumerate(idx):
+                if j != skip and not queued[i]:
+                    queued[i] = True
+                    queue.append(i)
+    return trace
+
+
+Partition = Tuple[List[int], List[int]]  # cell bitmasks, and each vertex's cell
+
+
+def equitable(rows, deadline: Optional[Deadline] = None) -> Partition:
+    """The coarsest equitable partition of the vertices (no individualisation)."""
+    n = len(rows)
+    if n == 0:
+        return [], []
+    cells, cell_of = [(1 << n) - 1], [0] * n
+    _refine(rows, cells, cell_of, [0], deadline)
+    return cells, cell_of
+
+
+def _individualize(rows, part: Partition, v: int,
+                   deadline: Optional[Deadline] = None) -> Tuple[Partition, list]:
+    """A copy of the equitable partition ``part`` with ``v`` in a cell of its
+    own, at its old cell's position, refined; and the refinement trace."""
+    cells, cell_of = list(part[0]), list(part[1])
+    i, bit = cell_of[v], 1 << v
+    if cells[i] == bit:
+        return (cells, cell_of), []
+    rest = cells[i] ^ bit
+    cells[i] = bit
+    cells.append(rest)
+    for u in bits_of(rest):
+        cell_of[u] = len(cells) - 1
+    return (cells, cell_of), _refine(rows, cells, cell_of, [i], deadline)
+
+
+def _match(rows, left: Partition, right: Partition, deadline, nodes) -> Optional[List[int]]:
+    """A verified automorphism mapping each cell of ``left`` onto the cell
+    of ``right`` at the same position, or None; ``nodes[0]`` is the
+    remaining node budget."""
+    nodes[0] -= 1
+    if nodes[0] < 0:
+        return None
+    cells = left[0]
+    i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+    if i is None:
+        perm = [0] * len(rows)
+        for a, b in zip(cells, right[0]):
+            perm[a.bit_length() - 1] = b.bit_length() - 1
+        return perm if is_automorphism(rows, perm) else None
+    x = (cells[i] & -cells[i]).bit_length() - 1
+    child, trace = _individualize(rows, left, x, deadline)
+    for y in bits_of(right[0][i]):
+        if nodes[0] < 0:
+            break
+        image, image_trace = _individualize(rows, right, y, deadline)
+        if image_trace == trace:
+            perm = _match(rows, child, image, deadline, nodes)
+            if perm is not None:
+                return perm
+    return None
+
+
+def find_automorphism(rows, a: int, b: int, deadline: Optional[Deadline] = None,
+                      base: Optional[Partition] = None) -> Optional[List[int]]:
+    """A verified automorphism ``sigma`` with ``sigma[a] == b``, or None when
+    none turns up within ``NODE_CAP`` search nodes.  ``base`` is the equitable
+    partition of the rows, when the caller has it.  Raises
+    ``BudgetExceeded`` once ``deadline`` expires."""
+    if base is None:
+        base = equitable(rows, deadline)
+    left, trace = _individualize(rows, base, a, deadline)
+    right, right_trace = _individualize(rows, base, b, deadline)
+    if trace != right_trace:
+        return None
+    return _match(rows, left, right, deadline, [NODE_CAP])
+
+
+def orbits(rows, deadline: Optional[Deadline] = None) -> Tuple[List[int], List[List[int]]]:
+    """``(least, generators)``: the least vertex of each vertex's orbit under
+    the group that the verified ``generators`` span.
+
+    Vertices are visited in increasing order; a vertex that no generator
+    found so far maps onto an earlier one is matched against each earlier
+    orbit of its equitable cell whose individualised trace agrees.  Once
+    ``deadline`` expires the search stops, and the orbits proved so far are
+    returned: they are orbits of a subgroup.
+    """
+    n = len(rows)
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    gens: List[List[int]] = []
+    try:
+        base = equitable(rows, deadline)
+        # hashes of the individualised traces: a partition kept per vertex
+        # would hold n^2 cells
+        fingerprints = {}
+
+        def fingerprint(v):
+            if v not in fingerprints:
+                fingerprints[v] = hash(tuple(_individualize(rows, base, v, deadline)[1]))
+            return fingerprints[v]
+
+        for v in range(n):
+            if find(v) != v:
+                continue
+            for u in bits_of(base[0][base[1][v]] & ((1 << v) - 1)):
+                if find(u) != u or fingerprint(u) != fingerprint(v):
+                    continue
+                perm = find_automorphism(rows, v, u, deadline, base=base)
+                if perm is None:
+                    continue
+                gens.append(perm)
+                for x, y in enumerate(perm):
+                    rx, ry = find(x), find(y)
+                    if rx != ry:
+                        parent[max(rx, ry)] = min(rx, ry)
+                break
+    except BudgetExceeded:
+        pass
+    return [find(v) for v in range(n)], gens

@@ -88,6 +88,21 @@ def test_bound_report_square_entry_follows_budget():
     assert e.satisfied and e.rhs == 32
 
 
+def test_bound_report_raises_chi_so_lower_end():
+    # chi_so of the Moore graph is only known in [2, 44]; alpha_od = 15 and
+    # alpha_od * chi_so >= n give the sound lower end ceil(50 / 15) = 4
+    rep = bound_report(gen.hoffman_singleton(), 15, (2, 44))
+    assert rep.all_satisfied()
+    decided = {e.name: e for e in rep.entries}
+    assert decided["alpha-od >= n/chi-so"].rhs == Fraction(50, 4)
+    assert decided["alpha-od * chi-so >= n"].lhs == 60
+    assert [name for name, _ in rep.omitted] == ["alpha-od * chi-so <= (n+1)^2/4",
+                                                 "alpha-od + chi-so <= n+1"]
+    # an exact chi_so is not raised, so a wrong value still shows as violated
+    rep = bound_report(gen.hoffman_singleton(), 15, 2)
+    assert not next(e for e in rep.entries if e.name == "alpha-od * chi-so >= n").satisfied
+
+
 def test_bound_report_cube_odd():
     rep = bound_report(gen.hypercube(3), 4, 2)
     e = next(x for x in rep.entries if x.anchor == "cube-odd-equality")

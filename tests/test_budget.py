@@ -7,10 +7,14 @@ candidate walk and its per-pivot sort ran with no deadline check, and
 relabelling of dense complement rows before its first check.
 """
 
+import json
 import time
 
 from oddind import generators as gen
+from oddind.cli import main
 from oddind.coloring import chi_so_exact, is_strong_odd_coloring
+from oddind.formats import to_graph6
+from oddind.graphs import cartesian_product
 from oddind.independence import alpha_od, is_odd_independent
 
 SLACK = 0.5
@@ -38,3 +42,30 @@ def test_alpha_od_q10_within_budget():
     assert is_odd_independent(g, res.witness)
     assert len(res.witness) == res.value
     assert res.lower <= res.value <= res.upper
+
+
+def _c5_cubed():
+    c5 = gen.cycle(5)
+    return cartesian_product(cartesian_product(c5, c5), c5)
+
+
+def test_chi_so_fallback_within_budget():
+    # 125 vertices: the cover gives up at once, and the fallback coloring's
+    # alpha(square) seed used to run for up to 10 s whatever the budget
+    g = _c5_cubed()
+    res, took = _timed(lambda: chi_so_exact(g, budget=2))
+    assert took <= 2 + SLACK, took
+    assert not res.exact and res.lower <= res.upper
+    assert is_strong_odd_coloring(g, res.witness)
+
+
+def test_cli_bounds_share_one_budget(tmp_path, capsys):
+    # alpha_od, chi_so_exact and bound_report's alpha(square) used to take
+    # the whole budget each
+    path = tmp_path / "c5c5c5.g6"
+    path.write_text(to_graph6(_c5_cubed()) + "\n", encoding="ascii")
+    code, took = _timed(lambda: main(["bounds", str(path), "--budget", "2", "--json"]))
+    assert took <= 2 + SLACK, took
+    assert code == 3  # the solves only reach intervals
+    report = json.loads(capsys.readouterr().out)
+    assert all(e["satisfied"] for e in report["entries"])

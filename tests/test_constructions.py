@@ -101,6 +101,11 @@ def test_mu_construction_rejects_bad_inputs():
         construct_mu_ois(q4, s6, flip_last_coordinate(4), gen.complete(3))
     with pytest.raises(BadAutomorphism):  # identity fixes every vertex
         construct_mu_ois(q4, s6, tuple(range(16)), gen.hypercube(2))
+    eta = list(flip_last_coordinate(4))
+    eta[0], eta[3] = eta[3], eta[0]  # a permutation that breaks edges
+    for bad in (eta, [0] * 16):
+        with pytest.raises(BadAutomorphism, match="not an automorphism"):
+            construct_mu_ois(q4, s6, bad, gen.hypercube(2))
     # rotation of the pentagon: neighbor images but orbit length 5 is odd
     c5 = gen.cycle(5)
     rot = tuple((v + 1) % 5 for v in range(5))
