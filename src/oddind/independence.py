@@ -19,11 +19,17 @@ child is tested in O(1) big-int operations.  Four sound cuts prune it:
 * parity doom: a vertex in ``seen & ~odd`` (even, positive count) with no
   neighbor left in the pool keeps an even count in every set of the
   subtree, and cannot join one because it is adjacent to the chosen set;
-* root orbits: the root skips a vertex that a proved automorphism maps
-  onto an earlier root vertex, since the automorphism maps each OIS of its
-  branch onto one of the same size in an earlier branch.  The group comes
-  from ``symmetry.orbits``, proved only once the root is about to enter a
-  second branch with ``best < upper``, in a third of the remaining time.
+* orbits at every node (orbital branching): a node with chosen set ``S``
+  and pool ``P`` skips a branch ``v`` that a proved automorphism fixing
+  ``S`` and ``P`` setwise maps onto an earlier vertex ``u``.  It maps each
+  OIS ``S + T`` with ``v`` in ``T``, a subset of ``P``, onto one of the
+  same size that holds ``u``, which an earlier branch covers.  The group
+  comes from ``symmetry.orbits`` started from the partition ``[S, P,
+  rest]``, in a third of the remaining time, and is proved only when the
+  node is about to enter a further branch with ``best < upper``: at the
+  root at once, below it once the node's subtree has spent ``2|E|`` search
+  nodes, about what a proof costs.  A root group with no generator ends
+  the proofs, since every other group is one of its subgroups.
 
 The certified bounds and seeds on ``alpha_od`` form one registry (after
 ``_OisSearch``), one function per fact returning a ``Bound`` with its value
@@ -228,7 +234,7 @@ class _CliqueSolver:
 
     def _expand(self, P, size, mask):
         self.nodes += 1
-        if self.nodes & 2047 == 0 and self.deadline.expired():
+        if self.nodes & 2047 == 1 and self.deadline.expired():  # from the first node on
             self.timed_out = True
             return
         order, bounds = self._coloring(P)
@@ -432,6 +438,11 @@ class _OisSearch:
     vertices with an odd count) and ``seen`` (OR of the chosen rows: those
     with a positive count), so a chosen set is an OIS iff
     ``seen & ~odd == 0``; an independent set never meets ``seen``.
+
+    Orbit cut (module docstring): the root, and a node whose subtree has
+    spent ``threshold`` nodes (2|E|, about a proof's cost), prove before
+    their next branch the automorphisms fixing ``s`` and the pool setwise,
+    then skip each branch ``v`` with ``least[v] < v``.
     """
 
     def __init__(self, g: Graph, bad_rows, order, deadline, best_mask, upper):
@@ -446,32 +457,16 @@ class _OisSearch:
         self.upper = upper
         self.nodes = 0
         self.timed_out = False
-        self.least = None  # least vertex of each orbit, once proved
-        self.generators = []
-        self.skipped = 0  # root branches cut by the orbits
+        self.threshold = sum(r.bit_count() for r in self.rows)
+        self.root = None  # (least vertex of each orbit, generators) at the root
+        self.proofs = 0  # nodes whose group was proved
+        self.skipped = [0, 0]  # branches cut by the orbits: at the root, below it
 
     def run(self):
-        self._expand(0, (1 << self.n) - 1, 0, 0, True)
+        self._expand(0, (1 << self.n) - 1, 0, 0)
         self.best_mask = _relabel(self.best_mask, self.order)
 
-    def _symmetric(self, v) -> bool:
-        """Root orbit cut: whether a proved automorphism maps root vertex
-        ``v`` onto an earlier one.  It then maps every OIS of ``v``'s branch
-        onto an OIS of the same size that an earlier branch covered.
-
-        The group is proved when the search first enters a second root
-        branch with ``best < upper``, within a third of the remaining time.
-        """
-        if self.least is None:
-            if v == 0 or self.best >= self.upper:
-                return False
-            self.least, self.generators = orbits(self.rows, _slice(self.deadline))
-        if self.least[v] < v:
-            self.skipped += 1
-            return True
-        return False
-
-    def _expand(self, s, p, odd, seen, root=False):
+    def _expand(self, s, p, odd, seen):
         self.nodes += 1
         if self.nodes & 1023 == 0 and self.deadline.expired():
             self.timed_out = True
@@ -486,11 +481,13 @@ class _OisSearch:
         if _cover_fits(rows, p, self.best - size):
             return
         bad = self.bad
+        pool, start, least = p, self.nodes, None
         while p:
             bit = p & -p
             v = bit.bit_length() - 1
             p ^= bit
-            if root and self._symmetric(v):
+            if least is not None and least[v] < v:
+                self.skipped[s > 0] += 1
                 continue
             row = rows[v]
             child_odd = odd ^ row
@@ -503,6 +500,14 @@ class _OisSearch:
                 return
             if _doomed(rows, even, p) or _cover_fits(rows, p, self.best - size):
                 return
+            if (least is None and p and self.best < self.upper
+                    and (not s or self.nodes - start >= self.threshold)):
+                rest = ((1 << self.n) - 1) ^ s ^ pool
+                least, gens = orbits(rows, _slice(self.deadline), start=[s, pool, rest])
+                self.proofs += 1
+                if not s:  # no root generator, none below it: stop proving
+                    self.root = least, gens
+                    self.threshold = self.threshold if gens else float("inf")
 
 
 # -- the registry of certified bounds and seeds ---------------------------------
@@ -625,11 +630,17 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     if cls:
         return SolveResult(cls.mask.bit_count(), VertexSet(n, cls.mask), ODD_REGULAR_BIPARTITE)
 
-    slice_budget = _slice(deadline).remaining()
+    upper = min([n] + [floor(b.value) for b in upper_bounds(g)])
+    if deadline.expired():
+        # no time for the alpha solves: the registry interval, without the square
+        best_mask = lower_bound_seed(g, 0)
+        value = best_mask.bit_count()
+        return SolveResult(value, VertexSet(n, best_mask), BRANCH_BOUND, exact=value >= upper,
+                           lower=value, upper=upper, note="budget exhausted")
 
+    slice_budget = _slice(deadline).remaining()
     alpha_res = alpha(g, budget=slice_budget)
-    upper = alpha_res.value if alpha_res.exact else alpha_res.upper
-    upper = min([upper] + [floor(b.value) for b in upper_bounds(g)])
+    upper = min(upper, alpha_res.value if alpha_res.exact else alpha_res.upper)
 
     sq = square(g)
     sq_res = alpha(sq, budget=slice_budget)
@@ -644,10 +655,14 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     nodes += search.nodes
     value = search.best
     notes = []
-    if search.least is not None:
-        notes.append(f"root orbit cut: {len(set(search.least))} orbit(s) from"
-                     f" {len(search.generators)} proved generator(s),"
-                     f" {search.skipped} root branch(es) skipped")
+    if search.proofs:
+        root = ""
+        if search.root:
+            least, gens = search.root
+            root = (f"{len(set(least))} orbit(s) from {len(gens)} proved generator(s) at the"
+                    f" root, {search.skipped[0]} root branch(es) skipped; ")
+        notes.append(f"orbit cut: {root}groups proved at {search.proofs} node(s),"
+                     f" {search.skipped[1]} branch(es) below the root skipped")
     if search.timed_out:
         notes.append("budget exhausted")
         return SolveResult(value, VertexSet(n, search.best_mask), BRANCH_BOUND,

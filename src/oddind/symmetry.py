@@ -8,17 +8,19 @@ refinement (McKay & Piperno, "Practical graph isomorphism, II", JSC 60,
 
 * refinement splits an ordered partition, a list of cell bitmasks, until
   it is equitable: every vertex of a cell has the same number of
-  neighbours in each cell (``equitable`` starts from a single cell).  Every
-  choice depends on the structure alone (counts, sizes, cell positions),
-  never on vertex labels, so an automorphism maps the refinement of a
-  partition onto the refinement of its image, cell by cell, and the two
-  runs write the same trace;
+  neighbours in each cell (``equitable`` starts from a single cell, or
+  from a given ordered partition).  Every choice depends on the structure
+  alone (counts, sizes, cell positions), never on vertex labels, so an
+  automorphism maps the refinement of a partition onto the refinement of
+  its image, cell by cell, and the two runs write the same trace;
 * ``find_automorphism(rows, a, b)`` individualises ``a`` on one side and
   ``b`` on the other, refines both, and backtracks over the images of the
   first non-singleton cell until the cells are singletons; it spends at
   most ``NODE_CAP`` search nodes;
 * ``orbits`` joins, by union-find, the cycles of every verified generator:
-  the classes are the orbits of the group those generators span.
+  the classes are the orbits of the group those generators span.  Given a
+  start partition, it proves the group that fixes each start cell
+  setwise, as the OIS search needs for the set it chose and its pool.
 
 If the deadline stops ``orbits`` early, the classes it returns are still
 orbits of a subgroup, so a cut that reads them stays sound.
@@ -131,13 +133,17 @@ def _refine(rows, cells: List[int], cell_of: List[int], queue: Sequence[int],
 Partition = Tuple[List[int], List[int]]  # cell bitmasks, and each vertex's cell
 
 
-def equitable(rows, deadline: Optional[Deadline] = None) -> Partition:
-    """The coarsest equitable partition of the vertices (no individualisation)."""
-    n = len(rows)
-    if n == 0:
-        return [], []
-    cells, cell_of = [(1 << n) - 1], [0] * n
-    _refine(rows, cells, cell_of, [0], deadline)
+def equitable(rows, deadline: Optional[Deadline] = None,
+              start: Optional[Sequence[int]] = None) -> Partition:
+    """The coarsest equitable partition that refines ``start``, an ordered
+    list of disjoint cell bitmasks covering the vertices (one cell by
+    default; empty cells are dropped)."""
+    cells = [c for c in (start or [(1 << len(rows)) - 1]) if c]
+    cell_of = [0] * len(rows)
+    for i, cell in enumerate(cells):
+        for v in bits_of(cell):
+            cell_of[v] = i
+    _refine(rows, cells, cell_of, range(len(cells)), deadline)
     return cells, cell_of
 
 
@@ -199,15 +205,20 @@ def find_automorphism(rows, a: int, b: int, deadline: Optional[Deadline] = None,
     return _match(rows, left, right, deadline, [NODE_CAP])
 
 
-def orbits(rows, deadline: Optional[Deadline] = None) -> Tuple[List[int], List[List[int]]]:
+def orbits(rows, deadline: Optional[Deadline] = None,
+           start: Optional[Sequence[int]] = None) -> Tuple[List[int], List[List[int]]]:
     """``(least, generators)``: the least vertex of each vertex's orbit under
-    the group that the verified ``generators`` span.
+    the group that the verified ``generators`` span.  With ``start`` (cells
+    as for ``equitable``) the group is that of the automorphisms mapping
+    each start cell onto itself, and every generator is checked to do so.
 
-    Vertices are visited in increasing order; a vertex that no generator
-    found so far maps onto an earlier one is matched against each earlier
-    orbit of its equitable cell whose individualised trace agrees.  Once
-    ``deadline`` expires the search stops, and the orbits proved so far are
-    returned: they are orbits of a subgroup.
+    A discrete equitable partition proves the group trivial, and nothing
+    more is searched.  Otherwise vertices are visited in increasing order;
+    a vertex that no generator found so far maps onto an earlier one is
+    matched against each earlier orbit of its equitable cell whose
+    individualised trace agrees.  Once ``deadline`` expires the search
+    stops, and the orbits proved so far are returned: they are orbits of a
+    subgroup.
     """
     n = len(rows)
     parent = list(range(n))
@@ -220,7 +231,10 @@ def orbits(rows, deadline: Optional[Deadline] = None) -> Tuple[List[int], List[L
 
     gens: List[List[int]] = []
     try:
-        base = equitable(rows, deadline)
+        base = equitable(rows, deadline, start)
+        cell_of = base[1]
+        if len(base[0]) == n:
+            return list(range(n)), gens
         # hashes of the individualised traces: a partition kept per vertex
         # would hold n^2 cells
         fingerprints = {}
@@ -233,11 +247,11 @@ def orbits(rows, deadline: Optional[Deadline] = None) -> Tuple[List[int], List[L
         for v in range(n):
             if find(v) != v:
                 continue
-            for u in bits_of(base[0][base[1][v]] & ((1 << v) - 1)):
+            for u in bits_of(base[0][cell_of[v]] & ((1 << v) - 1)):
                 if find(u) != u or fingerprint(u) != fingerprint(v):
                     continue
                 perm = find_automorphism(rows, v, u, deadline, base=base)
-                if perm is None:
+                if perm is None or any(cell_of[x] != cell_of[y] for x, y in enumerate(perm)):
                     continue
                 gens.append(perm)
                 for x, y in enumerate(perm):

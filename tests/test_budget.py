@@ -10,6 +10,8 @@ relabelling of dense complement rows before its first check.
 import json
 import time
 
+import pytest
+
 from oddind import generators as gen
 from oddind.cli import main
 from oddind.coloring import chi_so_exact, is_strong_odd_coloring
@@ -47,6 +49,21 @@ def test_alpha_od_q10_within_budget():
 def _c5_cubed():
     c5 = gen.cycle(5)
     return cartesian_product(cartesian_product(c5, c5), c5)
+
+
+@pytest.mark.parametrize("name", ["q10", "c5c5c5"])
+def test_alpha_od_spent_budget_does_no_fixed_work(name):
+    # a spent budget used to build the square and run both alpha solves to
+    # their first deadline check: 0.3-0.5 s on Q10, 0.1-0.2 s on C5^3
+    g = gen.hypercube(10) if name == "q10" else _c5_cubed()
+    res, took = _timed(lambda: alpha_od(g, budget=0))
+    assert took <= SLACK, took
+    assert res.nodes == 0  # no search ran
+    assert is_odd_independent(g, res.witness)
+    assert len(res.witness) == res.value == res.lower
+    assert not res.exact and res.lower <= res.upper
+    # sound: the square seeds of an unhurried solve are OISs of these sizes
+    assert res.upper >= {"q10": 264, "c5c5c5": 13}[name]
 
 
 def test_chi_so_fallback_within_budget():

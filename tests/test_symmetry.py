@@ -1,10 +1,13 @@
-"""Proved automorphisms and the root orbit cut of the OIS search.
+"""Proved automorphisms and the orbit cut of the OIS search.
 
-Every generator must pass ``is_automorphism`` against the adjacency rows,
-and the cut is checked against brute force on every graph with at most 8
-vertices, with the search started from nothing so that the lazy trigger
-fires.
+Every generator must pass ``is_automorphism`` against the adjacency rows.
+The cut is checked against brute force on every graph with at most 8
+vertices, with the search started from nothing and a group proved at every
+node, and above that cap against the search that proves a group at the
+root only.
 """
+
+from math import floor
 
 import pytest
 
@@ -12,7 +15,15 @@ from oddind import generators as gen
 from oddind.bounds import random_connected_graph
 from oddind.enumeration import graphs_upto
 from oddind.graphs import square
-from oddind.independence import _ois_search, alpha_od, alpha_od_bruteforce, is_odd_independent
+from oddind.independence import (
+    _ois_search,
+    alpha,
+    alpha_od,
+    alpha_od_bruteforce,
+    is_odd_independent,
+    lower_bound_seed,
+    upper_bounds,
+)
 from oddind.results import Deadline
 from oddind.symmetry import equitable, find_automorphism, is_automorphism, orbits
 
@@ -63,27 +74,88 @@ def test_expired_deadline_leaves_a_subgroup():
     assert least == list(range(g.n)) and gens == []
 
 
+def test_stabilizer_of_a_start_partition():
+    # the automorphisms of Q6 that fix vertex 0 have the distance classes as orbits
+    g = gen.hypercube(6)
+    rest = g.full_mask ^ 1
+    cells, _ = equitable(g.adj, start=[1, rest])
+    assert sorted(c.bit_count() for c in cells) == [1, 1, 6, 6, 15, 15, 20]
+    least, gens = orbits(g.adj, start=[1, rest])
+    assert len(set(least)) == 7 and gens
+    for perm in gens:
+        assert is_automorphism(g.adj, perm) and perm[0] == 0
+    assert all(least[v].bit_count() == v.bit_count() for v in range(g.n))
+    # empty start cells are dropped
+    assert equitable(g.adj, start=[0, g.full_mask, 0])[0] == equitable(g.adj)[0]
+
+
+def test_discrete_partition_proves_the_group_trivial(monkeypatch):
+    g = random_connected_graph(38, 0.15, 38)
+    assert len(equitable(g.adj)[0]) == g.n
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("find_automorphism called on a discrete partition")
+
+    monkeypatch.setattr("oddind.symmetry.find_automorphism", unexpected)
+    least, gens = orbits(g.adj)
+    assert least == list(range(g.n)) and gens == []
+
+
 def test_node_pins():
-    # the orbit cut enters one root branch of the vertex-transitive 6-cube;
-    # rc38 has a trivial group, so its search is the plain one
+    # the root enters one branch of the vertex-transitive 6-cube and of
+    # KG(9,3), and nodes below it prove their own groups; rc38 has a trivial
+    # group, so its search is the plain one
     q6 = alpha_od(gen.hypercube(6))
-    assert q6.exact and q6.value == 24 and q6.nodes <= 100_000
+    assert q6.exact and q6.value == 24 and q6.nodes <= 12_000
     assert "1 orbit(s)" in q6.note
+    kg = alpha_od(gen.kneser(9, 3))
+    assert kg.exact and kg.value == 3 and kg.nodes <= 20_000
+    assert "1 orbit(s)" in kg.note
     rc = alpha_od(random_connected_graph(38, 0.15, 38))
     assert rc.exact and rc.value == 11 and rc.nodes == 4553
+    assert "from 0 proved generator(s)" in rc.note
+
+
+def _search(g, threshold=None):
+    """The solver's search on ``g`` from the solver's seed and upper end,
+    with its proof threshold replaced when one is given."""
+    sq_mask = alpha(square(g)).witness.mask
+    upper = min([alpha(g).value] + [floor(b.value) for b in upper_bounds(g)])
+    search = _ois_search(g, square(g), Deadline(None), lower_bound_seed(g, sq_mask), upper)
+    if threshold is not None:
+        search.threshold = threshold
+    search.run()
+    return search
+
+
+@pytest.mark.parametrize("name", ["q6", "kg9_3", "sk7"])
+def test_node_cut_matches_root_cut_above_brute_force_cap(name):
+    g = {"q6": lambda: gen.hypercube(6), "kg9_3": lambda: gen.kneser(9, 3),
+         "sk7": lambda: gen.complete_subdivision(7)}[name]()
+    node_cut = _search(g)
+    root_only = _search(g, threshold=float("inf"))
+    assert node_cut.best == root_only.best
+    assert node_cut.skipped[1] > 0 and root_only.skipped[1] == 0
+    for search in (node_cut, root_only):
+        assert not search.timed_out
+        assert is_odd_independent(g, search.best_mask)
+        assert search.best_mask.bit_count() == search.best
 
 
 @pytest.mark.slow
-def test_root_orbit_cut_matches_brute_force_to_order_8():
-    fired = 0
+def test_orbit_cut_matches_brute_force_to_order_8():
+    fired = below = 0
     for g in graphs_upto(8):
         if not g.edge_count():
             continue
-        # no seed and upper = n: the search runs, and reaches a second root branch
+        # no seed and upper = n: the search runs, and reaches second branches;
+        # a zero threshold proves a group at every node that reaches one
         search = _ois_search(g, square(g), Deadline(None), 0, g.n)
+        search.threshold = 0
         search.run()
         assert search.best == alpha_od_bruteforce(g).value
         assert is_odd_independent(g, search.best_mask)
         assert search.best_mask.bit_count() == search.best
-        fired += search.skipped > 0
-    assert fired > 0
+        fired += sum(search.skipped) > 0
+        below += search.skipped[1] > 0
+    assert fired > 0 and below > 0
