@@ -30,6 +30,7 @@ from .independence import (
     alpha_od_bounded,
     even_regular_upper,
     girth5_seed,
+    max_degree_lower,
     odd_bipartite_seed,
     square_seed,
     upper_bounds,
@@ -197,14 +198,11 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
         add(b.name, (a_lo, a_hi), "<=", exactr(b.value), b.anchor, note=b.note)
 
     seed = girth5_seed(g)
+    for b in [b for b in (seed, max_degree_lower(g)) if b]:
+        add(b.name, (a_lo, a_hi), ">=", exactr(b.value), b.anchor)
     if seed:
-        add(seed.name, (a_lo, a_hi), ">=", exactr(seed.value), seed.anchor)
         add("chi-so <= n - (maxdeg - eps) + 1", (c_lo, c_hi), "<=",
             exactr(n - seed.value + 1), seed.anchor)
-
-    if delta >= 3:
-        add("alpha-od >= n/(maxdeg^2-1)", (a_lo, a_hi), ">=",
-            exactr(Fraction(n, delta * delta - 1)), "max-degree-lower")
 
     d = _hypercube_dimension(g)
     if d is not None and d >= 1:

@@ -15,7 +15,8 @@ classes.  The pivot vertex's class is chosen first, largest first, with
 three sound cuts: a mask larger than ``k * top`` fails; a class smaller
 than ``|mask| - (k - 1) * top`` leaves too much for the other classes, and
 so do all classes after it; and a mask refuted for ``k`` classes is
-refuted for every smaller ``k``.
+refuted for every smaller ``k``.  A bipartite component with every degree
+odd needs no search at any order: its two sides are OIS classes.
 """
 
 from __future__ import annotations
@@ -26,10 +27,14 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .graphs import Graph, VertexSet, _complement_rows, bits_of, from_edge_list, square
 from .independence import (
     _as_mask,
-    alpha_square,
+    alpha,
+    cheap_rung,
     is_odd_independent,
+    least_upper_bound,
     lower_bound_seed,
+    odd_bipartite_seed,
     odd_independent_set_masks,
+    registry_seeds,
 )
 from .matching import maximum_matching
 from .results import BudgetExceeded, Deadline, SolveResult, default_budget
@@ -219,6 +224,11 @@ class _OisCover:
         sub, deadline = self.sub, self.deadline
         if sub.edge_count() == 0:
             return [sub.full_mask]
+        # every vertex of an odd-degree bipartite component sees only the
+        # other side, an odd number of times: both sides are OIS classes
+        side = odd_bipartite_seed(sub)
+        if side:
+            return [side.mask, sub.full_mask ^ side.mask]
         if sub.n > 22:
             raise BudgetExceeded  # partition search is meant for desk scale
         masks = odd_independent_set_masks(sub, deadline)
@@ -369,26 +379,33 @@ def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
 
 
 def greedy_ois_lower(g: Graph, budget: Optional[float] = None) -> VertexSet:
-    """Cheap verified OIS used as a lower-bound seed: ``lower_bound_seed``
-    given an independent set of the square, solved within ``budget`` (at
-    most 10 s)."""
+    """Cheap verified OIS used as a lower-bound seed: the seed of
+    ``cheap_rung`` when it meets the least registry upper end, else
+    ``lower_bound_seed`` given an independent set of the square solved
+    within ``budget`` (at most 10 s)."""
     if g.n == 0:
         return VertexSet(0)
-    sq = alpha_square(g, budget=10.0 if budget is None else min(10.0, budget))
-    return VertexSet(g.n, lower_bound_seed(g, sq.witness.mask))
+    sq, seeds = square(g), registry_seeds(g)
+    seed = cheap_rung(g, sq, seeds, least_upper_bound(g))
+    if seed is None:
+        res = alpha(sq, budget=10.0 if budget is None else min(10.0, budget))
+        seed = lower_bound_seed(g, res.witness.mask, seeds)
+    return VertexSet(g.n, seed.mask)
 
 
 def cube_chi_so(d: int) -> Tuple[int, Coloring]:
     """Strong odd chromatic number of the d-cube with an explicit witness:
-    2 for odd d (the bipartition), 4 for even d (parity classes refined by
-    the leading coordinate)."""
+    2 for odd d (the two sides of ``odd_bipartite_seed``, as in
+    ``_OisCover.solve``), 4 for even d (parity classes refined by the
+    leading coordinate)."""
     from .generators import hypercube
 
     if d < 1:
         raise ValueError("d must be at least 1")
     n = 1 << d
     if d % 2 == 1:
-        colors = [v.bit_count() & 1 for v in range(n)]
+        side = odd_bipartite_seed(hypercube(d)).mask
+        colors = [0 if side >> v & 1 else 1 for v in range(n)]
         value = 2
     else:
         colors = [2 * (v >> (d - 1)) + (v.bit_count() & 1) for v in range(n)]

@@ -33,9 +33,20 @@ child is tested in O(1) big-int operations.  Four sound cuts prune it:
 
 The certified bounds and seeds on ``alpha_od`` form one registry (after
 ``_OisSearch``), one function per fact returning a ``Bound`` with its value
-and anchor: the even-regular and common-neighbor upper ends, and the square,
-odd-bipartite and girth-5 seeds.  The solver, ``bounds.bound_report`` and
-the paper suite all read it.
+and anchor: the even-regular and common-neighbor upper ends, the max-degree
+lower end, and the square, odd-bipartite and girth-5 seeds.  The solver,
+``bounds.bound_report`` and the paper suite all read it.
+
+A component is solved by the cheapest certificate first:
+
+1. the cheap rung (``cheap_rung``): a static-order greedy independent set
+   of the square, given to ``lower_bound_seed`` with the registry seeds,
+   is a verified OIS; if it meets the least registry upper end it is
+   optimal, and the solve returns with no clique solve and 0 nodes;
+2. the clique solves: ``alpha(g)`` lowers the upper end, and ``alpha`` of
+   the square gives the seed; if the seed meets the upper end the solve
+   returns;
+3. the search ``_OisSearch`` above, started from that seed and upper end.
 """
 
 from __future__ import annotations
@@ -468,7 +479,7 @@ class _OisSearch:
 
     def _expand(self, s, p, odd, seen):
         self.nodes += 1
-        if self.nodes & 1023 == 0 and self.deadline.expired():
+        if self.nodes & 1023 == 1 and self.deadline.expired():  # from the first node on
             self.timed_out = True
             return
         if self.best >= self.upper:
@@ -558,6 +569,11 @@ def upper_bounds(g: Graph) -> List[Bound]:
     return [b for b in (even_regular_upper(g), common_neighbor_upper(g)) if b]
 
 
+def least_upper_bound(g: Graph) -> Optional[Bound]:
+    """The least registry upper end of ``g`` (the first on a tie), or None."""
+    return min(upper_bounds(g), key=lambda b: b.value, default=None)
+
+
 def square_seed(square_mask: int) -> Bound:
     """``alpha(G^2) <= alpha_od``: an independent set of the square is an
     OIS, since no vertex sees two of its members."""
@@ -590,18 +606,53 @@ def girth5_seed(g: Graph) -> Optional[Bound]:
                  mask=row)
 
 
-def lower_bound_seed(g: Graph, square_mask: int) -> int:
-    """Largest verified OIS among the registry seeds, as a mask: in order, a
-    singleton, ``square_seed``, ``odd_bipartite_seed`` and ``girth5_seed``;
-    a later one wins only when strictly larger."""
+def max_degree_lower(g: Graph) -> Optional[Bound]:
+    """``alpha_od >= n/(maxdeg^2-1)`` once ``maxdeg >= 3``; a value, no seed."""
+    d = max(map(g.degree, range(g.n)), default=0)
+    return Bound(Fraction(g.n, d * d - 1), "max-degree-lower",
+                 "alpha-od >= n/(maxdeg^2-1)") if d >= 3 else None
+
+
+def registry_seeds(g: Graph) -> List[Bound]:
+    """The registry seeds that apply to ``g``, in pick order: the
+    odd-bipartite and the girth-5 seed."""
+    return [b for b in (odd_bipartite_seed(g), girth5_seed(g)) if b]
+
+
+def lower_bound_seed(g: Graph, square_mask: int, seeds: List[Bound]) -> Bound:
+    """Largest verified OIS among, in order, a singleton (a set of the
+    square too), ``square_seed(square_mask)`` and ``seeds`` (those of
+    ``registry_seeds``); a later one wins only when strictly larger."""
     if g.n == 0:
-        return 0
-    best = 0
-    seeds = (odd_bipartite_seed(g), girth5_seed(g))
-    for m in [1, square_mask] + [s.mask for s in seeds if s]:
-        if m.bit_count() > best.bit_count() and is_odd_independent(g, m):
-            best = m
+        return square_seed(0)
+    best = square_seed(1)
+    for b in [square_seed(square_mask)] + seeds:
+        if b.mask.bit_count() > best.mask.bit_count() and is_odd_independent(g, b.mask):
+            best = b
     return best
+
+
+def greedy_square_mask(sq: Graph) -> int:
+    """A maximal independent set of the square ``sq`` by one static-order
+    greedy pass: vertices by ascending degree, ties by id."""
+    taken = blocked = 0
+    for v in sorted(range(sq.n), key=lambda v: (sq.adj[v].bit_count(), v)):
+        if not blocked >> v & 1:
+            taken |= 1 << v
+            blocked |= sq.adj[v]
+    return taken
+
+
+def cheap_rung(g: Graph, sq: Graph, seeds: List[Bound],
+               upper: Optional[Bound]) -> Optional[Bound]:
+    """The cheapest certificate, tried before any clique solve:
+    ``lower_bound_seed`` given ``greedy_square_mask(sq)`` and ``seeds``,
+    returned when it meets ``upper`` (the least registry upper end), which
+    makes it an optimal OIS; otherwise None."""
+    if upper is None:
+        return None
+    seed = lower_bound_seed(g, greedy_square_mask(sq), seeds)
+    return seed if seed.value >= floor(upper.value) else None
 
 
 def _ois_search(g: Graph, sq: Graph, deadline: Deadline, best_mask, upper) -> _OisSearch:
@@ -614,9 +665,12 @@ def _ois_search(g: Graph, sq: Graph, deadline: Deadline, best_mask, upper) -> _O
 
 
 def _slice(deadline: Deadline) -> Deadline:
-    """A third of what ``deadline`` has left, at most 30 s (unbounded if it is)."""
+    """A third of what ``deadline`` has left, at most 30 s (unbounded if it
+    is), and at least 3.3 ms unless it has expired: then so has the slice."""
     remaining = deadline.remaining()
-    return Deadline(None if remaining is None else min(max(remaining, 0.01) / 3, 30.0))
+    if remaining is None:
+        return Deadline(None)
+    return Deadline(min(max(remaining, 0.01) / 3, 30.0) if remaining > 0 else remaining)
 
 
 def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
@@ -626,25 +680,32 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     if g.edge_count() == 0:
         return SolveResult(n, VertexSet(n, g.full_mask), BRANCH_BOUND)
 
-    cls = odd_bipartite_seed(g) if _regular_degree(g) else None
-    if cls:
+    seeds = registry_seeds(g)
+    cls = next((b for b in seeds if b.anchor == ODD_REGULAR_BIPARTITE), None)
+    if cls and _regular_degree(g):
         return SolveResult(cls.mask.bit_count(), VertexSet(n, cls.mask), ODD_REGULAR_BIPARTITE)
 
-    upper = min([n] + [floor(b.value) for b in upper_bounds(g)])
+    least = least_upper_bound(g)
+    upper = floor(least.value) if least else n
     if deadline.expired():
-        # no time for the alpha solves: the registry interval, without the square
-        best_mask = lower_bound_seed(g, 0)
+        # no time for the square or the alpha solves: the registry interval
+        best_mask = lower_bound_seed(g, 0, seeds).mask
         value = best_mask.bit_count()
         return SolveResult(value, VertexSet(n, best_mask), BRANCH_BOUND, exact=value >= upper,
                            lower=value, upper=upper, note="budget exhausted")
+
+    sq = square(g)
+    seed = cheap_rung(g, sq, seeds, least)
+    if seed:
+        return SolveResult(upper, VertexSet(n, seed.mask), BRANCH_BOUND, nodes=0,
+                           note=f"closed by {seed.anchor} seed = {least.anchor} (no clique solve)")
 
     slice_budget = _slice(deadline).remaining()
     alpha_res = alpha(g, budget=slice_budget)
     upper = min(upper, alpha_res.value if alpha_res.exact else alpha_res.upper)
 
-    sq = square(g)
     sq_res = alpha(sq, budget=slice_budget)
-    best_mask = lower_bound_seed(g, sq_res.witness.mask)
+    best_mask = lower_bound_seed(g, sq_res.witness.mask, seeds).mask
 
     nodes = alpha_res.nodes + sq_res.nodes
     if best_mask.bit_count() >= upper:

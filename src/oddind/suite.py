@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, comb
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -46,6 +45,7 @@ from .independence import (
     alpha_od_clawfree,
     even_regular_upper,
     is_odd_independent,
+    max_degree_lower,
     odd_independent_set_masks,
     odd_profile,
     pair_classification,
@@ -421,14 +421,13 @@ def item_properties(budget=None) -> List[Check]:
     seed = 1000
     while done < 100:
         seed += 1
-        n = 5 + seed % 10
-        g = random_connected_graph(n, 0.45, seed, min_degree=1)
-        delta = max(g.degree(v) for v in range(n))
-        if delta < 3:
+        g = random_connected_graph(5 + seed % 10, 0.45, seed, min_degree=1)
+        lower = max_degree_lower(g)
+        if lower is None:
             continue
         done += 1
         res = alpha_od(g)
-        if not (res.exact and Fraction(res.value) >= Fraction(n, delta * delta - 1)):
+        if not (res.exact and res.value >= lower.value):
             degree_bad += 1
     out.append(_check(10, "alpha-od >= n/(maxdeg^2 - 1) on 100 random graphs",
                       "0 bad", f"{degree_bad} bad", ok=degree_bad == 0))

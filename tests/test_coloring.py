@@ -15,11 +15,17 @@ from oddind.coloring import (
     chi_square,
     chromatic_number,
     cube_chi_so,
+    greedy_ois_lower,
     is_proper_coloring,
     is_strong_odd_coloring,
 )
 from oddind.graphs import complement, disjoint_union, from_edge_list, square, t_copies
-from oddind.independence import alpha_od_bruteforce, odd_independent_set_masks
+from oddind.independence import (
+    alpha_od_bruteforce,
+    is_odd_independent,
+    odd_bipartite_seed,
+    odd_independent_set_masks,
+)
 
 
 def brute_chromatic(g, strong_odd=False) -> int:
@@ -153,6 +159,55 @@ def test_chi_so_matches_partition_oracle():
             assert res.exact
             assert is_strong_odd_coloring(g, res.witness)
             assert res.witness.num_colors == res.value == _min_ois_partition(g), (n, p)
+
+
+def _odd_bipartite(n, seed):
+    """A seeded bipartite graph on ``n`` (even) vertices with every degree
+    odd: random edges between the halves, then parities fixed through the
+    last vertex of each side."""
+    rng = random.Random(seed)
+    side_a = rng.sample(range(n), n // 2)
+    side_b = [v for v in range(n) if v not in side_a]
+    edges = {(a, b) for a in side_a for b in side_b if rng.random() < 0.3}
+
+    def deg(v):
+        return sum(v in e for e in edges)
+
+    for a in side_a[:-1]:
+        if deg(a) % 2 == 0:
+            edges ^= {(a, side_b[-1])}
+    for b in side_b[:-1]:
+        if deg(b) % 2 == 0:
+            edges ^= {(side_a[-1], b)}
+    if deg(side_a[-1]) % 2 == 0:  # then so is the degree of side_b[-1]
+        edges ^= {(side_a[-1], side_b[-1])}
+    return from_edge_list(n, sorted(edges))
+
+
+def test_odd_bipartite_shortcut_matches_partition_oracle():
+    for n in range(2, 17, 2):
+        for j in range(3):
+            g = _odd_bipartite(n, 100 * n + j)
+            assert odd_bipartite_seed(g) is not None, (n, j)
+            res = chi_so_exact(g)
+            assert res.exact and res.value == 2 == _min_ois_partition(g), (n, j)
+            assert res.nodes == 0  # no component reached the cover search
+            assert is_strong_odd_coloring(g, res.witness) and res.witness.num_colors == 2
+
+
+def test_q7_closes_at_two_above_the_cover_cap():
+    g = gen.hypercube(7)
+    res = chi_so_exact(g, budget=2)
+    assert res.exact and res.value == 2 and res.nodes == 0
+    assert is_strong_odd_coloring(g, res.witness)
+    assert res.witness == cube_chi_so(7)[1]
+
+
+def test_fallback_seed_closes_by_the_cheap_rung():
+    # the seed meets the least registry upper end: no alpha(square) solve
+    for g, want in ((gen.hypercube(7), 64), (gen.cycle(300), 100), (gen.complete(30), 1)):
+        seed = greedy_ois_lower(g, budget=0)
+        assert len(seed) == want and is_odd_independent(g, seed)
 
 
 def test_chi_so_timeout_keeps_proven_lower_bound():

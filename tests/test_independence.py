@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -11,24 +11,31 @@ from oddind.graphs import VertexSet, complement, from_edge_list, square
 from oddind.independence import (
     NotClawFree,
     _alpha_root_bound,
+    _ois_search,
     _outside_parity_ok,
     _relabel,
+    _slice,
     alpha,
     alpha_od,
     alpha_od_bounded,
     alpha_od_bruteforce,
     alpha_od_clawfree,
     alpha_square,
+    cheap_rung,
     common_neighbor_upper,
     even_regular_upper,
     girth5_seed,
+    greedy_square_mask,
     is_independent,
     is_odd_independent,
+    least_upper_bound,
     lower_bound_seed,
+    max_degree_lower,
     odd_bipartite_seed,
     odd_independent_set_masks,
     odd_profile,
     pair_classification,
+    registry_seeds,
     square_seed,
     upper_bounds,
 )
@@ -255,11 +262,12 @@ def test_ois_walk_groups_sets_by_lowest_vertex():
 
 
 def _registry_ends(g):
-    """Upper ends, then lower ends with their seed masks, of the registry."""
+    """Upper ends, seeds with their masks, and value-only lower ends of the
+    registry."""
     sq = alpha(square(g))
     assert sq.exact and _alpha_root_bound(square(g)) >= sq.value
-    lowers = [square_seed(sq.witness.mask), odd_bipartite_seed(g), girth5_seed(g)]
-    return upper_bounds(g), [b for b in lowers if b is not None]
+    lowers = [square_seed(sq.witness.mask)] + registry_seeds(g)
+    return upper_bounds(g), lowers, [b for b in [max_degree_lower(g)] if b]
 
 
 def test_registry_is_sound():
@@ -270,20 +278,105 @@ def test_registry_is_sound():
     for g in graphs_upto(7) + named:
         res = alpha_od_bruteforce(g) if g.n <= 7 else alpha_od(g)
         assert res.exact
-        uppers, lowers = _registry_ends(g)
+        uppers, lowers, values = _registry_ends(g)
         for b in uppers:
             assert b.value >= res.value, (g.adj, b)
         for b in lowers:
             assert b.value <= res.value and b.mask.bit_count() == b.value, (g.adj, b)
             assert is_odd_independent(g, b.mask), (g.adj, b)
-        seed = lower_bound_seed(g, alpha(square(g)).witness.mask)
-        assert is_odd_independent(g, seed) and seed.bit_count() <= res.value
-    # each upper end fires where the paper applies it
+        for b in values:
+            assert b.value <= res.value and not b.mask, (g.adj, b)
+        seeds = registry_seeds(g)
+        seed = lower_bound_seed(g, alpha(square(g)).witness.mask, seeds)
+        assert is_odd_independent(g, seed.mask) and seed.value <= res.value
+        rung = cheap_rung(g, square(g), seeds, least_upper_bound(g))
+        assert rung is None or (rung.value == res.value and is_odd_independent(g, rung.mask))
+    # each end fires where the paper applies it
     assert even_regular_upper(gen.hypercube(6)).value == Fraction(5 * 64, 11)
     assert even_regular_upper(gen.hypercube(5)) is None
     assert common_neighbor_upper(gen.hypercube(7)).value == 64
+    assert least_upper_bound(gen.cycle(9)).anchor == "even-regular-upper"  # first on a tie
+    assert least_upper_bound(gen.path(4)) is None
     assert odd_bipartite_seed(gen.hypercube(5)).value == 16
     assert girth5_seed(gen.hoffman_singleton()).value == 7
+    assert max_degree_lower(gen.petersen()).value == Fraction(10, 8)
+    assert max_degree_lower(gen.cycle(9)) is None
+
+
+def _full_path(g):
+    """``alpha_od`` of a connected ``g`` with edges by the clique solves and
+    the search alone, bypassing the cheap rung."""
+    sq = square(g)
+    least = least_upper_bound(g)
+    upper = min([alpha(g).value] + ([floor(least.value)] if least else []))
+    seed = lower_bound_seed(g, alpha(sq).witness.mask, registry_seeds(g)).mask
+    if seed.bit_count() >= upper:
+        return upper
+    search = _ois_search(g, sq, Deadline(None), seed, upper)
+    search.run()
+    return search.best
+
+
+def _rung_panel():
+    panel = [(f"C{n}", gen.cycle(n)) for n in range(3, 61)]
+    panel += [(f"P{n}", gen.path(n)) for n in range(2, 61)]
+    panel += [(f"Q{d}", gen.hypercube(d)) for d in range(1, 8)]
+    panel += [(f"K{n}", gen.complete(n)) for n in range(2, 9)]
+    panel += [("K3,3", gen.complete_bipartite(3, 3)), ("petersen", gen.petersen()),
+              ("moore50", gen.hoffman_singleton()), ("kg8_2", gen.kneser(8, 2))]
+    return panel
+
+
+def test_cheap_rung_agrees_with_full_path():
+    closed = []
+    for name, g in _rung_panel():
+        rung = cheap_rung(g, square(g), registry_seeds(g), least_upper_bound(g))
+        if name.startswith("P") and int(name[1:]) > 40:
+            # no registry upper end applies to a path, so the rung declines
+            # and the solve is the full path (P60 alone costs 15 s a side)
+            assert rung is None and least_upper_bound(g) is None, name
+            continue
+        res = alpha_od(g)
+        assert res.exact and is_odd_independent(g, res.witness), name
+        assert len(res.witness) == res.value == _full_path(g), name
+        if rung is not None:
+            assert rung.value == res.value and is_odd_independent(g, rung.mask), name
+            closed.append(name)
+        if res.method != "odd-regular-bipartite":  # that shortcut comes first
+            assert (rung is not None) == ("no clique solve" in res.note), name
+            assert rung is None or res.nodes == 0, name
+    # the rung closes C_n for n divisible by 3 and K_n, never a path that
+    # is not regular (P2 is K2)
+    assert {"C3", "C6", "C60", "K5", "Q7"} <= set(closed)
+    assert not [name for name in closed if name.startswith("P") and name != "P2"]
+
+
+def test_greedy_square_mask_is_maximal_and_static():
+    for g in (gen.cycle(10), gen.petersen(), gen.hypercube(5), gen.path(7)):
+        sq = square(g)
+        mask = greedy_square_mask(sq)
+        assert is_independent(sq, mask)
+        assert all(mask >> v & 1 or sq.adj[v] & mask for v in range(g.n))  # maximal
+    # ascending square degree: the ends of a path come first
+    assert greedy_square_mask(square(gen.path(7))) == 0b1001001
+
+
+def test_cycle_1500_closes_by_the_cheap_rung():
+    g = gen.cycle(1500)
+    res = alpha_od(g)
+    assert res.exact and res.value == 500 and res.nodes == 0
+    assert is_odd_independent(g, res.witness) and len(res.witness) == 500
+    assert res.note == ("closed by square-independence seed = even-regular-upper"
+                        " (no clique solve)")
+
+
+def test_search_on_an_expired_deadline_runs_one_node():
+    g = gen.hypercube(6)
+    spent = Deadline(-1.0)
+    assert _slice(spent).expired() and _slice(Deadline(None)).remaining() is None
+    search = _ois_search(g, square(g), spent, 1, 29)
+    search.run()
+    assert search.timed_out and search.nodes == 1 and search.proofs == 0
 
 
 def test_relabel_matches_per_bit_map():

@@ -22,6 +22,7 @@ from oddind.independence import (
     alpha_od_bruteforce,
     is_odd_independent,
     lower_bound_seed,
+    registry_seeds,
     upper_bounds,
 )
 from oddind.results import Deadline
@@ -121,7 +122,8 @@ def _search(g, threshold=None):
     with its proof threshold replaced when one is given."""
     sq_mask = alpha(square(g)).witness.mask
     upper = min([alpha(g).value] + [floor(b.value) for b in upper_bounds(g)])
-    search = _ois_search(g, square(g), Deadline(None), lower_bound_seed(g, sq_mask), upper)
+    seed = lower_bound_seed(g, sq_mask, registry_seeds(g)).mask
+    search = _ois_search(g, square(g), Deadline(None), seed, upper)
     if threshold is not None:
         search.threshold = threshold
     search.run()
