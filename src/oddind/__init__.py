@@ -21,13 +21,11 @@ from .graphs import (
 from .formats import MalformedGraph6, parse_dimacs, parse_graph6, to_dimacs, to_graph6
 from .results import BudgetExceeded, SolveResult, default_budget
 from .independence import (
-    NotClawFree,
     PairClassification,
     alpha,
     alpha_od,
     alpha_od_bounded,
     alpha_od_bruteforce,
-    alpha_od_clawfree,
     alpha_square,
     is_independent,
     is_odd_independent,

@@ -22,13 +22,14 @@ odd needs no search at any order: its two sides are OIS classes.
 from __future__ import annotations
 
 from bisect import bisect_right
+from math import floor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, VertexSet, _complement_rows, bits_of, from_edge_list, square
 from .independence import (
     _as_mask,
     alpha,
-    cheap_rung,
+    greedy_square_mask,
     is_odd_independent,
     least_upper_bound,
     lower_bound_seed,
@@ -379,15 +380,16 @@ def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
 
 
 def greedy_ois_lower(g: Graph, budget: Optional[float] = None) -> VertexSet:
-    """Cheap verified OIS used as a lower-bound seed: the seed of
-    ``cheap_rung`` when it meets the least registry upper end, else
-    ``lower_bound_seed`` given an independent set of the square solved
-    within ``budget`` (at most 10 s)."""
+    """Cheap verified OIS used as a lower-bound seed: ``lower_bound_seed``
+    given ``greedy_square_mask`` and the registry seeds when it meets the
+    least registry upper end (it is then optimal, with no clique solve),
+    else given an independent set of the square solved within ``budget``
+    (at most 10 s)."""
     if g.n == 0:
         return VertexSet(0)
-    sq, seeds = square(g), registry_seeds(g)
-    seed = cheap_rung(g, sq, seeds, least_upper_bound(g))
-    if seed is None:
+    sq, seeds, least = square(g), registry_seeds(g), least_upper_bound(g)
+    seed = lower_bound_seed(g, greedy_square_mask(sq), seeds)
+    if least is None or seed.value < floor(least.value):
         res = alpha(sq, budget=10.0 if budget is None else min(10.0, budget))
         seed = lower_bound_seed(g, res.witness.mask, seeds)
     return VertexSet(g.n, seed.mask)

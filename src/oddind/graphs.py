@@ -403,15 +403,17 @@ def _bipartition(g: Graph) -> Optional[Tuple[int, int]]:
     return a, b
 
 
-def _is_claw_free(g: Graph) -> bool:
+def _is_claw_free(g: Graph, deadline=None) -> bool:
+    """Whether no vertex has three pairwise nonadjacent neighbors ``x < y <
+    z``; False ("not shown claw-free") once ``deadline`` expires."""
     for v in range(g.n):
-        nbrs = list(bits_of(g.adj[v]))
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1:]:
-                if g.has_edge(x, y):
-                    continue
-                rest = g.adj[v] & ~g.adj[x] & ~g.adj[y] & ~(1 << x) & ~(1 << y)
-                if rest:
+        if deadline is not None and deadline.expired():
+            return False
+        nbrs = g.adj[v]
+        for x in bits_of(nbrs):
+            rest = nbrs & ~g.adj[x] & -(2 << x)  # neighbors of v above x, not adjacent to x
+            for y in bits_of(rest):
+                if rest & ~g.adj[y] & -(2 << y):
                     return False
     return True
 

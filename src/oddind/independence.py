@@ -37,16 +37,19 @@ and anchor: the even-regular and common-neighbor upper ends, the max-degree
 lower end, and the square, odd-bipartite and girth-5 seeds.  The solver,
 ``bounds.bound_report`` and the paper suite all read it.
 
-A component is solved by the cheapest certificate first:
+A component is solved by one ladder, cheapest certificate first.  It
+narrows one pair, the best verified seed (replaced only by a strictly
+larger one) and the upper end, and stops at the first rung where they meet
+or the deadline has expired:
 
-1. the cheap rung (``cheap_rung``): a static-order greedy independent set
-   of the square, given to ``lower_bound_seed`` with the registry seeds,
-   is a verified OIS; if it meets the least registry upper end it is
-   optimal, and the solve returns with no clique solve and 0 nodes;
-2. the clique solves: ``alpha(g)`` lowers the upper end, and ``alpha`` of
-   the square gives the seed; if the seed meets the upper end the solve
-   returns;
-3. the search ``_OisSearch`` above, started from that seed and upper end.
+1. the registry seeds, and the least registry upper end (else the order);
+2. the greedy rung: a static-order greedy independent set of the square
+   (``greedy_square_mask``), given to ``lower_bound_seed`` with the
+   registry seeds, with no clique solve and 0 nodes;
+3. the clique solves: ``alpha`` of the square gives a seed and ``alpha(g)``
+   the upper end, or, on a claw-free graph, ``alpha`` of the square gives
+   both, since there ``alpha_od = alpha(G^2)`` (the paper's theorem);
+4. the search ``_OisSearch`` above, started from that seed and upper end.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from .results import (
     BOUNDED_K,
     BRANCH_BOUND,
     BRUTE_FORCE,
-    CLAW_FREE_REDUCTION,
     ODD_REGULAR_BIPARTITE,
     BudgetExceeded,
     Deadline,
@@ -79,10 +81,6 @@ from .results import (
     default_budget,
 )
 from .symmetry import orbits
-
-
-class NotClawFree(ValueError):
-    pass
 
 
 def _as_mask(g: Graph, s) -> int:
@@ -245,7 +243,7 @@ class _CliqueSolver:
 
     def _expand(self, P, size, mask):
         self.nodes += 1
-        if self.nodes & 2047 == 1 and self.deadline.expired():  # from the first node on
+        if self.nodes & 255 == 1 and self.deadline.expired():  # from the first node on
             self.timed_out = True
             return
         order, bounds = self._coloring(P)
@@ -643,18 +641,6 @@ def greedy_square_mask(sq: Graph) -> int:
     return taken
 
 
-def cheap_rung(g: Graph, sq: Graph, seeds: List[Bound],
-               upper: Optional[Bound]) -> Optional[Bound]:
-    """The cheapest certificate, tried before any clique solve:
-    ``lower_bound_seed`` given ``greedy_square_mask(sq)`` and ``seeds``,
-    returned when it meets ``upper`` (the least registry upper end), which
-    makes it an optimal OIS; otherwise None."""
-    if upper is None:
-        return None
-    seed = lower_bound_seed(g, greedy_square_mask(sq), seeds)
-    return seed if seed.value >= floor(upper.value) else None
-
-
 def _ois_search(g: Graph, sq: Graph, deadline: Deadline, best_mask, upper) -> _OisSearch:
     """The solver's search on ``g``: the pair cuts found within ``deadline``,
     and the vertices by decreasing degree in the square ``sq``."""
@@ -674,63 +660,51 @@ def _slice(deadline: Deadline) -> Deadline:
 
 
 def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
-    n = g.n
-    if n == 0:
-        return SolveResult(0, VertexSet(0), BRANCH_BOUND, nodes=0)
-    if g.edge_count() == 0:
-        return SolveResult(n, VertexSet(n, g.full_mask), BRANCH_BOUND)
-
+    """The ladder of the module docstring on a connected ``g``: each rung runs
+    only while the seed ``best`` is below ``upper`` and time is left."""
     seeds = registry_seeds(g)
-    cls = next((b for b in seeds if b.anchor == ODD_REGULAR_BIPARTITE), None)
-    if cls and _regular_degree(g):
-        return SolveResult(cls.mask.bit_count(), VertexSet(n, cls.mask), ODD_REGULAR_BIPARTITE)
-
     least = least_upper_bound(g)
-    upper = floor(least.value) if least else n
-    if deadline.expired():
-        # no time for the square or the alpha solves: the registry interval
-        best_mask = lower_bound_seed(g, 0, seeds).mask
-        value = best_mask.bit_count()
-        return SolveResult(value, VertexSet(n, best_mask), BRANCH_BOUND, exact=value >= upper,
-                           lower=value, upper=upper, note="budget exhausted")
-
-    sq = square(g)
-    seed = cheap_rung(g, sq, seeds, least)
-    if seed:
-        return SolveResult(upper, VertexSet(n, seed.mask), BRANCH_BOUND, nodes=0,
-                           note=f"closed by {seed.anchor} seed = {least.anchor} (no clique solve)")
-
-    slice_budget = _slice(deadline).remaining()
-    alpha_res = alpha(g, budget=slice_budget)
-    upper = min(upper, alpha_res.value if alpha_res.exact else alpha_res.upper)
-
-    sq_res = alpha(sq, budget=slice_budget)
-    best_mask = lower_bound_seed(g, sq_res.witness.mask, seeds).mask
-
-    nodes = alpha_res.nodes + sq_res.nodes
-    if best_mask.bit_count() >= upper:
-        return SolveResult(upper, VertexSet(n, best_mask), BRANCH_BOUND, nodes=nodes)
-
-    search = _ois_search(g, sq, deadline, best_mask, upper)
-    search.run()
-    nodes += search.nodes
-    value = search.best
-    notes = []
-    if search.proofs:
-        root = ""
-        if search.root:
-            least, gens = search.root
-            root = (f"{len(set(least))} orbit(s) from {len(gens)} proved generator(s) at the"
-                    f" root, {search.skipped[0]} root branch(es) skipped; ")
-        notes.append(f"orbit cut: {root}groups proved at {search.proofs} node(s),"
-                     f" {search.skipped[1]} branch(es) below the root skipped")
-    if search.timed_out:
+    upper, source = (floor(least.value), least.anchor) if least else (g.n, "order")
+    best = lower_bound_seed(g, 0, seeds)
+    nodes, notes, search = 0, [], None
+    if best.value < upper and not deadline.expired():  # the greedy rung
+        sq = square(g)
+        best = lower_bound_seed(g, greedy_square_mask(sq), seeds)
+    if best.value < upper and not deadline.expired():  # the clique solves
+        claw_free = _is_claw_free(g, deadline)
+        budget = _slice(deadline).remaining()
+        if not claw_free:
+            res = alpha(g, budget=budget)
+            nodes += res.nodes
+            if res.upper < upper:
+                upper, source = res.upper, "independence"
+        res = alpha(sq, budget=budget)
+        nodes += res.nodes
+        if claw_free and res.upper < upper:  # alpha_od = alpha(G^2)
+            upper, source = res.upper, "claw-free-square"
+        best = max(best, lower_bound_seed(g, res.witness.mask, []), key=lambda b: b.value)
+    if best.value < upper and not deadline.expired():  # the search
+        search = _ois_search(g, sq, deadline, best.mask, upper)
+        search.run()
+        nodes += search.nodes
+        if search.proofs:
+            root = ""
+            if search.root:
+                least, gens = search.root
+                root = (f"{len(set(least))} orbit(s) from {len(gens)} proved generator(s) at"
+                        f" the root, {search.skipped[0]} root branch(es) skipped; ")
+            notes.append(f"orbit cut: {root}groups proved at {search.proofs} node(s),"
+                         f" {search.skipped[1]} branch(es) below the root skipped")
+    mask = search.best_mask if search else best.mask
+    value = mask.bit_count()
+    exact = value >= upper or (search is not None and not search.timed_out)
+    if not exact:
         notes.append("budget exhausted")
-        return SolveResult(value, VertexSet(n, search.best_mask), BRANCH_BOUND,
-                           exact=False, lower=value, upper=upper, nodes=nodes,
-                           note="; ".join(notes))
-    return SolveResult(value, VertexSet(n, search.best_mask), BRANCH_BOUND, nodes=nodes,
-                       note="; ".join(notes))
+    elif not search:  # a clique solve spends at least one node
+        notes.append(f"closed by {best.anchor} seed = {source}"
+                     + ("" if nodes else " (no clique solve)"))
+    return SolveResult(value, VertexSet(g.n, mask), BRANCH_BOUND, exact=exact,
+                       upper=value if exact else upper, nodes=nodes, note="; ".join(notes))
 
 
 def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
@@ -741,32 +715,21 @@ def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
     """
     deadline = Deadline(default_budget() if budget is None else budget)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
-    comps = g.component_masks()
-    if len(comps) <= 1:
-        res = _component_alpha_od(g, deadline)
-        res.millis = deadline.elapsed_ms()
-        return res
-    total_mask = 0
-    value = lower = upper = nodes = 0
+    total_mask = value = upper = nodes = 0
     exact = True
-    methods = set()
     notes = {}  # distinct component notes, in order
-    for comp in comps:
+    for comp in g.component_masks():
         sub, keep = g.induced(comp)
         res = _component_alpha_od(sub, deadline)
         for v in res.witness.ids():
             total_mask |= 1 << keep[v]
         value += res.value
-        lower += res.lower
-        upper += res.upper if res.upper is not None else sub.n
+        upper += res.upper
         nodes += res.nodes
         exact = exact and res.exact
-        methods.add(res.method)
         notes.setdefault(res.note)
-    method = methods.pop() if len(methods) == 1 else BRANCH_BOUND
-    return SolveResult(value, VertexSet(g.n, total_mask), method, exact=exact,
-                       lower=lower, upper=upper if not exact else value,
-                       nodes=nodes, millis=deadline.elapsed_ms(),
+    return SolveResult(value, VertexSet(g.n, total_mask), BRANCH_BOUND, exact=exact,
+                       upper=upper, nodes=nodes, millis=deadline.elapsed_ms(),
                        note="; ".join(n for n in notes if n))
 
 
@@ -799,14 +762,3 @@ def alpha_od_bounded(g: Graph, k: int) -> SolveResult:
     return SolveResult(best, VertexSet(g.n, best_mask), BOUNDED_K,
                        exact=alpha_le_k, lower=best,
                        upper=best if alpha_le_k else None, nodes=nodes)
-
-
-def alpha_od_clawfree(g: Graph, budget: Optional[float] = None) -> SolveResult:
-    """Fast path: on claw-free graphs the optimum equals ``alpha(square(g))``."""
-    if not _is_claw_free(g):
-        raise NotClawFree("graph has an induced claw")
-    res = alpha_square(g, budget=budget)
-    if not is_odd_independent(g, res.witness):
-        raise AssertionError("square witness failed OIS verification")
-    res.method = CLAW_FREE_REDUCTION
-    return res

@@ -15,7 +15,6 @@ BUDGET_ENV_VAR = "ODDIND_BUDGET_SECS"
 # method tags
 BRUTE_FORCE = "brute-force"
 BRANCH_BOUND = "branch-bound"
-CLAW_FREE_REDUCTION = "claw-free-reduction"
 ODD_REGULAR_BIPARTITE = "odd-regular-bipartite"
 BOUNDED_K = "bounded-k"
 

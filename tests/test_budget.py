@@ -44,6 +44,19 @@ def test_alpha_od_q10_within_budget():
     assert is_odd_independent(g, res.witness)
     assert len(res.witness) == res.value
     assert res.lower <= res.value <= res.upper
+    # the greedy square set (64) is kept when alpha(square) times out below it
+    assert res.lower >= 64
+
+
+def test_alpha_od_line_graph_k40_within_budget():
+    # 780 vertices: the claw test alone takes about a second; unhurried, the
+    # claw-free rung closes it at 1 (the square is complete)
+    g = gen.line_graph(gen.complete(40))
+    res, took = _timed(lambda: alpha_od(g, budget=1))
+    assert took <= 1 + SLACK, took
+    assert is_odd_independent(g, res.witness)
+    assert len(res.witness) == res.value
+    assert res.lower <= 1 <= res.upper
 
 
 def _c5_cubed():

@@ -40,6 +40,18 @@ def test_compute_json(capsys, tmp_path):
     assert sorted(data["witness"]) == data["witness"]
 
 
+def test_compute_alpha_od_q5_closes_at_the_greedy_rung(capsys, tmp_path):
+    path = tmp_path / "q5.g6"
+    path.write_text(to_graph6(gen.hypercube(5)) + "\n")
+    code, out, _ = run(capsys, "compute", "alpha-od", str(path), "--json", "--deterministic")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 16 and data["exact"] is True
+    assert data["method"] == "branch-bound" and data["nodes"] == 0
+    assert data["note"] == ("closed by odd-regular-bipartite seed = common-neighbor-upper"
+                            " (no clique solve)")
+
+
 def test_compute_chi_so_shape(capsys, tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text(to_graph6(gen.cycle(5)) + "\n")

@@ -5,7 +5,7 @@ import pytest
 
 from oddind.coloring import chi_so_exact, chi_square
 from oddind.enumeration import all_graphs
-from oddind.graphs import square
+from oddind.graphs import _is_claw_free, square
 from oddind.independence import alpha, alpha_od, alpha_od_bruteforce, is_odd_independent
 
 
@@ -32,3 +32,19 @@ def test_sandwich_and_chain_on_all_8_vertex_graphs():
             chain_bad.append(g)
     assert not sandwich_bad
     assert not chain_bad
+
+
+@pytest.mark.slow
+def test_claw_free_rung_on_all_8_vertex_claw_free_graphs():
+    # alpha_od = alpha(G^2) on a claw-free graph (the paper's theorem), and
+    # the solver reads alpha(G^2) as its upper end there
+    count = 0
+    for g in all_graphs(8):
+        if not _is_claw_free(g):
+            continue
+        count += 1
+        res = alpha_od(g)
+        assert res.exact and is_odd_independent(g, res.witness), g.adj
+        assert len(res.witness) == res.value == alpha_od_bruteforce(g).value, g.adj
+        assert res.value == alpha(square(g)).value, g.adj
+    assert count == 1285

@@ -2,15 +2,14 @@ import random
 from fractions import Fraction
 from math import ceil, floor
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddind import generators as gen
-from oddind.graphs import VertexSet, complement, from_edge_list, square
+from oddind.graphs import VertexSet, _complement_rows, complement, from_edge_list, square
 from oddind.independence import (
-    NotClawFree,
     _alpha_root_bound,
+    _ordered_clique_solver,
     _ois_search,
     _outside_parity_ok,
     _relabel,
@@ -19,9 +18,7 @@ from oddind.independence import (
     alpha_od,
     alpha_od_bounded,
     alpha_od_bruteforce,
-    alpha_od_clawfree,
     alpha_square,
-    cheap_rung,
     common_neighbor_upper,
     even_regular_upper,
     girth5_seed,
@@ -155,14 +152,15 @@ def test_witness_is_always_verified():
 
 
 def test_odd_regular_bipartite_shortcut():
-    for d in (1, 3, 5):
-        g = gen.complete_bipartite(d, d)
+    # the larger side meets common_neighbor_upper = n/2 at the greedy rung
+    for g, want in [(gen.complete_bipartite(d, d), d) for d in (1, 3, 5)] + \
+                   [(gen.hypercube(d), 2 ** (d - 1)) for d in (3, 5)]:
         res = alpha_od(g)
-        assert res.value == d and res.method == "odd-regular-bipartite"
-    for d in (3, 5):
-        q = gen.hypercube(d)
-        res = alpha_od(q)
-        assert res.value == 2 ** (d - 1) and res.method == "odd-regular-bipartite"
+        assert res.exact and res.value == want and res.nodes == 0
+        assert res.method == "branch-bound" and is_odd_independent(g, res.witness)
+        assert res.note.endswith("seed = common-neighbor-upper (no clique solve)")
+        if want > 1:  # K_{1,1}: a singleton is the first seed of that size
+            assert res.note.startswith("closed by odd-regular-bipartite seed")
 
 
 def test_alpha_od_bounded():
@@ -181,15 +179,18 @@ def test_alpha_od_bounded():
 
 
 def test_clawfree_fast_path():
-    c9 = gen.cycle(9)
-    res = alpha_od_clawfree(c9)
-    assert res.value == 3 == alpha_od(c9).value == ceil((9 - 2) / 3)
-    assert res.method == "claw-free-reduction"
-    assert alpha_od_clawfree(gen.kbox(3, 3)).value == 1
-    with pytest.raises(NotClawFree):
-        alpha_od_clawfree(gen.star(4))
-    lg = gen.line_graph(gen.petersen())
-    assert alpha_od_clawfree(lg).value == alpha_od(lg).value
+    # on a claw-free graph alpha(square) is the upper end too, so the solve
+    # closes after the clique solve with no search
+    for g in (gen.cycle(9), gen.kbox(3, 3), gen.path(11), gen.line_graph(gen.petersen())):
+        res = alpha_od(g)
+        assert res.exact and is_odd_independent(g, res.witness), g.adj
+        assert res.value == alpha(square(g)).value == alpha_od_bruteforce(g).value, g.adj
+        assert res.note == "closed by square-independence seed = claw-free-square" or \
+            res.note.endswith("(no clique solve)"), g.adj
+    assert alpha_od(gen.cycle(9)).value == 3 == ceil((9 - 2) / 3)
+    assert alpha_od(gen.kbox(3, 3)).value == 1
+    star = alpha_od(gen.star(4))  # a claw: alpha(square) = 1 is no upper end
+    assert star.exact and star.value == 3 and "claw-free" not in star.note
 
 
 def test_timeout_returns_interval():
@@ -287,10 +288,9 @@ def test_registry_is_sound():
         for b in values:
             assert b.value <= res.value and not b.mask, (g.adj, b)
         seeds = registry_seeds(g)
-        seed = lower_bound_seed(g, alpha(square(g)).witness.mask, seeds)
-        assert is_odd_independent(g, seed.mask) and seed.value <= res.value
-        rung = cheap_rung(g, square(g), seeds, least_upper_bound(g))
-        assert rung is None or (rung.value == res.value and is_odd_independent(g, rung.mask))
+        for mask in (alpha(square(g)).witness.mask, greedy_square_mask(square(g))):
+            seed = lower_bound_seed(g, mask, seeds)
+            assert is_odd_independent(g, seed.mask) and seed.value <= res.value
     # each end fires where the paper applies it
     assert even_regular_upper(gen.hypercube(6)).value == Fraction(5 * 64, 11)
     assert even_regular_upper(gen.hypercube(5)) is None
@@ -305,7 +305,7 @@ def test_registry_is_sound():
 
 def _full_path(g):
     """``alpha_od`` of a connected ``g`` with edges by the clique solves and
-    the search alone, bypassing the cheap rung."""
+    the search alone, bypassing the greedy and claw-free rungs."""
     sq = square(g)
     least = least_upper_bound(g)
     upper = min([alpha(g).value] + ([floor(least.value)] if least else []))
@@ -330,24 +330,26 @@ def _rung_panel():
 def test_cheap_rung_agrees_with_full_path():
     closed = []
     for name, g in _rung_panel():
-        rung = cheap_rung(g, square(g), registry_seeds(g), least_upper_bound(g))
-        if name.startswith("P") and int(name[1:]) > 40:
-            # no registry upper end applies to a path, so the rung declines
-            # and the solve is the full path (P60 alone costs 15 s a side)
-            assert rung is None and least_upper_bound(g) is None, name
-            continue
+        least = least_upper_bound(g)
+        rung = lower_bound_seed(g, greedy_square_mask(square(g)), registry_seeds(g))
         res = alpha_od(g)
         assert res.exact and is_odd_independent(g, res.witness), name
-        assert len(res.witness) == res.value == _full_path(g), name
-        if rung is not None:
+        assert len(res.witness) == res.value and res.method == "branch-bound", name
+        if name.startswith("P") and int(name[1:]) > 40:
+            # no registry upper end applies to a path, but a path is claw-free:
+            # the full path (P60 alone costs 15 s a side) is not needed
+            assert res.value == ceil(int(name[1:]) / 3), name
+            assert res.note == "closed by square-independence seed = claw-free-square", name
+            continue
+        assert res.value == _full_path(g), name
+        if least is not None and rung.value >= floor(least.value):
             assert rung.value == res.value and is_odd_independent(g, rung.mask), name
             closed.append(name)
-        if res.method != "odd-regular-bipartite":  # that shortcut comes first
-            assert (rung is not None) == ("no clique solve" in res.note), name
-            assert rung is None or res.nodes == 0, name
-    # the rung closes C_n for n divisible by 3 and K_n, never a path that
-    # is not regular (P2 is K2)
-    assert {"C3", "C6", "C60", "K5", "Q7"} <= set(closed)
+        assert (name in closed) == ("no clique solve" in res.note), name
+        assert name not in closed or res.nodes == 0, name
+    # the rung closes C_n for n divisible by 3, K_n and the odd cubes, never
+    # a path that is not regular (P2 is K2)
+    assert {"C3", "C6", "C60", "K5", "Q7", "K3,3"} <= set(closed)
     assert not [name for name in closed if name.startswith("P") and name != "P2"]
 
 
@@ -430,3 +432,22 @@ def test_feasible_combos_hit_target():
         assert alpha(g).value == k, (n, k, case)
         res = alpha_od(g)
         assert res.exact and res.value == k, (n, k, case)
+
+
+class _ExpiresOnSecondCheck:
+    """A deadline that reads expired from its second check on."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def expired(self):
+        self.checks += 1
+        return self.checks >= 2
+
+
+def test_clique_solver_checks_its_deadline_every_256_nodes():
+    # the first check is at node 1, the second at node 257 (it was 2,049)
+    sq = square(gen.hypercube(7))  # 16,700 nodes to finish
+    solver, _, _ = _ordered_clique_solver(_complement_rows(sq), sq.n, _ExpiresOnSecondCheck())
+    solver.run()
+    assert solver.timed_out and solver.nodes == 257
