@@ -17,12 +17,23 @@ than ``|mask| - (k - 1) * top`` leaves too much for the other classes, and
 so do all classes after it; and a mask refuted for ``k`` classes is
 refuted for every smaller ``k``.  A bipartite component with every degree
 odd needs no search at any order: its two sides are OIS classes.
+
+Cheapest certificate first: before the 22-vertex cap and before any class
+is enumerated, a rung reads the two certified ends.  The lower end is the
+largest of 3 (a 2-colouring of a connected graph is its bipartition, which
+is strong odd only when every degree is odd), the greedy clique number,
+and ``ceil(n / u)`` for the least registry upper end ``u`` of ``alpha_od``.
+The upper end is ``n - |S| + 1`` for one verified seed ``S`` (the greedy
+square set or a registry seed, as in ``alpha_od``'s greedy rung).  When
+they meet, the component closes with ``S`` plus singleton classes and 0
+nodes; otherwise the cover starts from that lower end, which is also what
+a timeout or the cap reports.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import floor
+from math import ceil, floor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, VertexSet, _complement_rows, bits_of, from_edge_list, square
@@ -127,6 +138,21 @@ def _greedy_clique(g: Graph) -> int:
     return best
 
 
+def _greedy_matching_reaches(g: Graph, k: int) -> bool:
+    """Whether a greedy maximal matching of ``g`` reaches ``k`` edges.  An
+    independent set misses an end of each matching edge, so it then leaves
+    at least ``k`` vertices out."""
+    free, size = g.full_mask, 0
+    while free and size < k:
+        bit = free & -free
+        free ^= bit
+        partners = g.adj[bit.bit_length() - 1] & free
+        if partners:
+            free ^= partners & -partners
+            size += 1
+    return size >= k
+
+
 def _k_colorable(g: Graph, k: int, deadline: Deadline, nodes: List[int]):
     """A k-coloring as a list, or None; vertices in degree-descending order.
     ``nodes[0]`` counts the search's calls, also when the budget runs out."""
@@ -206,16 +232,19 @@ class _OisCover:
     """Decision search for one connected component: can ``mask`` be split
     into at most ``k`` candidate OIS classes?
 
-    ``solve`` tries ``k = ceil(n / top), ceil(n / top) + 1, ...``, where
-    ``top`` is the largest candidate class (the component's ``alpha_od``),
-    so ``lower`` is always a proven lower bound on ``chi_so``, also when
-    ``BudgetExceeded`` escapes.  ``nodes`` counts calls of ``_fits``.
+    ``solve`` first tries the certified ends (module docstring), then
+    ``k = max(lower, ceil(n / top)), ...``, where ``top`` is the largest
+    candidate class (the component's ``alpha_od``), so ``lower`` is always
+    a proven lower bound on ``chi_so``, also when ``BudgetExceeded``
+    escapes.  ``nodes`` counts calls of ``_fits``; ``note`` names the ends
+    of a component closed before the cover.
     """
 
     def __init__(self, sub: Graph, deadline: Deadline):
         self.sub = sub
         self.deadline = deadline
         self.lower = 2 if sub.edge_count() else 1
+        self.note = ""
         self.nodes = 0
         self.work = 0  # weighted by the candidates each call may scan
         self.failed = {}  # mask -> largest k refuted for it
@@ -230,6 +259,9 @@ class _OisCover:
         side = odd_bipartite_seed(sub)
         if side:
             return [side.mask, sub.full_mask ^ side.mask]
+        closed = self._certified_ends()
+        if closed:
+            return closed
         if sub.n > 22:
             raise BudgetExceeded  # partition search is meant for desk scale
         masks = odd_independent_set_masks(sub, deadline)
@@ -248,12 +280,33 @@ class _OisCover:
             lst.sort(key=int.bit_count, reverse=True)
         self.top = max(lst[0].bit_count() for lst in self.by_pivot if lst)
         # alpha_od * chi_so >= n: fewer than ceil(n / top) classes cannot cover
-        for k in range(-(-sub.n // self.top), sub.n + 1):
+        for k in range(max(self.lower, -(-sub.n // self.top)), sub.n + 1):
             self.lower = k
             classes = self._fits(sub.full_mask, k)
             if classes is not None:
                 return classes[::-1]
         raise AssertionError("n singleton classes always cover")
+
+    def _certified_ends(self) -> Optional[List[int]]:
+        """The rung before the cover: set ``lower`` to the largest certified
+        lower end, then return one verified OIS seed plus singleton classes
+        when ``n - |seed| + 1`` meets it, else None."""
+        sub = self.sub
+        # not odd-degree bipartite (tested by the caller), so no 2-colouring
+        ends = [(3, "not-odd-bipartite"), (_greedy_clique(sub), "clique")]
+        least = least_upper_bound(sub)
+        if least:  # alpha_od * chi_so >= n
+            ends.append((ceil(sub.n / least.value), f"n/{least.anchor}"))
+        self.lower, anchor = max(ends, key=lambda e: e[0])
+        # a seed leaving `lower` or more vertices out cannot close: skip it
+        if self.deadline.expired() or _greedy_matching_reaches(sub, self.lower):
+            return None
+        seed = lower_bound_seed(sub, greedy_square_mask(square(sub)), registry_seeds(sub))
+        rest = sub.full_mask ^ seed.mask
+        if rest.bit_count() + 1 > self.lower:
+            return None
+        self.note = f"closed by {seed.anchor} seed = {anchor} (no cover search)"
+        return [seed.mask] + [1 << v for v in bits_of(rest)]
 
     def _fits(self, mask, k):
         """At most ``k`` classes partitioning ``mask``, the pivot's class
@@ -298,6 +351,7 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
     colors = [0] * g.n
     lower = nodes = 0
     exact = True
+    notes = {}  # distinct component notes, in order
     for comp in g.component_masks():
         sub, keep = g.induced(comp)
         cover = _OisCover(sub, deadline)
@@ -307,19 +361,21 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
             exact, classes = False, []
         lower = max(lower, cover.lower)
         nodes += cover.nodes
+        notes.setdefault(cover.note)
         for ci, cmask in enumerate(classes):
             for v in bits_of(cmask):
                 colors[keep[v]] = ci
     if not exact:
+        notes.setdefault("budget exhausted")
         seed = greedy_ois_lower(g, budget=max(deadline.remaining(), 0.0))
         k_up, witness = chi_so_upper_from_partition(g, [seed])
         return SolveResult(k_up, witness, "ois-partition", exact=False,
-                           lower=lower, upper=k_up, nodes=nodes,
-                           millis=deadline.elapsed_ms(), note="budget exhausted")
+                           lower=lower, upper=k_up, nodes=nodes, millis=deadline.elapsed_ms(),
+                           note="; ".join(n for n in notes if n))
     witness = Coloring(colors)
     assert is_strong_odd_coloring(g, witness)
     return SolveResult(lower, witness, "ois-partition", nodes=nodes,
-                       millis=deadline.elapsed_ms())
+                       millis=deadline.elapsed_ms(), note="; ".join(n for n in notes if n))
 
 
 def chi_so_alpha2(g: Graph) -> SolveResult:
@@ -381,17 +437,18 @@ def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
 
 def greedy_ois_lower(g: Graph, budget: Optional[float] = None) -> VertexSet:
     """Cheap verified OIS used as a lower-bound seed: ``lower_bound_seed``
-    given ``greedy_square_mask`` and the registry seeds when it meets the
-    least registry upper end (it is then optimal, with no clique solve),
-    else given an independent set of the square solved within ``budget``
-    (at most 10 s)."""
+    given ``greedy_square_mask`` and the registry seeds, optimal when it
+    meets the least registry upper end (then no clique solve runs), else
+    replaced by the independent set of the square solved within ``budget``
+    (at most 10 s) only when that one is strictly larger, as in
+    ``alpha_od``: a timed-out solve may return less than the greedy set."""
     if g.n == 0:
         return VertexSet(0)
     sq, seeds, least = square(g), registry_seeds(g), least_upper_bound(g)
     seed = lower_bound_seed(g, greedy_square_mask(sq), seeds)
     if least is None or seed.value < floor(least.value):
         res = alpha(sq, budget=10.0 if budget is None else min(10.0, budget))
-        seed = lower_bound_seed(g, res.witness.mask, seeds)
+        seed = max(seed, lower_bound_seed(g, res.witness.mask, []), key=lambda b: b.value)
     return VertexSet(g.n, seed.mask)
 
 

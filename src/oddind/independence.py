@@ -154,40 +154,53 @@ def pair_classification(g: Graph, deadline: Optional[Deadline] = None) -> PairCl
     sound: pairs are only cuts, and a forcing pair is found from known
     forbidden pairs, so a missing forbidden pair can only hide forcing pairs.
     """
-    n = g.n
+    n, adj = g.n, g.adj
+    closed = [adj[v] | 1 << v for v in range(n)]
     forb_rows = [0] * n
     forbidden = set()
+    # (x, y) is forbidden through z in N(x) iff y is in rem = N[z] - N[x]
+    # (so y is a neighbor of z, not of x) and rem lies inside N[y], that is,
+    # y is in N[w] for every w in rem; the bit loops are inlined (hot path)
     for x in range(n):
         if deadline is not None and deadline.expired():
             return PairClassification(frozenset(forbidden), ())
-        for y in range(x + 1, n):
-            if g.has_edge(x, y):
-                continue
-            common = g.adj[x] & g.adj[y]
-            if not common:
-                continue
-            cover = g.closed_row(x) | g.closed_row(y)
-            for z in bits_of(common):
-                if g.closed_row(z) & ~cover == 0:
-                    forbidden.add((x, y))
-                    forb_rows[x] |= 1 << y
-                    forb_rows[y] |= 1 << x
-                    break
+        above, cx, found = -1 << (x + 1), closed[x], 0
+        for z in bits_of(adj[x]):
+            rem = closed[z] & ~cx
+            cand = rem & above & ~found
+            while cand and rem:
+                low = rem & -rem
+                cand &= closed[low.bit_length() - 1]
+                rem ^= low
+            found |= cand
+        forb_rows[x] |= found
+        for y in bits_of(found):
+            forbidden.add((x, y))
+            forb_rows[y] |= 1 << x
+    # (x, y), both in N(z) and nonadjacent, is forcing iff every w in N(z)
+    # outside N[x] + N[y] is a forbidden partner of x or y: with
+    # T = N(z) - N[x] - forb[x], y is in N[w] + forb[w] for every w in T
+    excused = [closed[w] | forb_rows[w] for w in range(n)]
     forcing = []
-    seen = set()
+    seen = [0] * n  # seen[x]: the partners y > x of forcing pairs found so far
     for z in range(n):
         if deadline is not None and deadline.expired():
             break
-        nbrs = list(bits_of(g.adj[z]))
-        for i, x in enumerate(nbrs):
-            for y in nbrs[i + 1:]:
-                if g.has_edge(x, y) or (x, y) in seen:
-                    continue
-                third = g.adj[z] & ~g.adj[x] & ~g.adj[y] & ~(1 << x) & ~(1 << y)
-                # every independent third neighbor must pair forbidden with x or y
-                if third & ~(forb_rows[x] | forb_rows[y]) == 0:
-                    forcing.append(((x, y), z))
-                    seen.add((x, y))
+        nz = xs = adj[z]
+        while xs:
+            bit = xs & -xs
+            xs ^= bit
+            x = bit.bit_length() - 1
+            out = nz & ~closed[x]
+            cand = out & -(bit << 1) & ~seen[x]
+            t = out & ~forb_rows[x]
+            while cand and t:
+                low = t & -t
+                cand &= excused[low.bit_length() - 1]
+                t ^= low
+            if cand:
+                seen[x] |= cand
+                forcing.extend(((x, y), z) for y in bits_of(cand))
     return PairClassification(frozenset(forbidden), tuple(forcing))
 
 

@@ -89,6 +89,16 @@ def test_chi_so_fallback_within_budget():
     assert is_strong_odd_coloring(g, res.witness)
 
 
+def test_chi_so_spent_budget_keeps_the_structural_lower_end():
+    # the seed's square is built only while time is left; Q10 has even
+    # degrees, so no 2-colouring is strong odd whatever the budget
+    g = gen.hypercube(10)
+    res, took = _timed(lambda: chi_so_exact(g, budget=0))
+    assert took <= SLACK, took
+    assert not res.exact and 3 <= res.lower <= res.upper
+    assert is_strong_odd_coloring(g, res.witness)
+
+
 def test_cli_bounds_share_one_budget(tmp_path, capsys):
     # alpha_od, chi_so_exact and bound_report's alpha(square) used to take
     # the whole budget each

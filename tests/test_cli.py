@@ -64,6 +64,19 @@ def test_compute_chi_so_shape(capsys, tmp_path):
     assert data["nodes"] > 0 and data["method"] == "ois-partition"
 
 
+def test_compute_chi_so_star_closes_from_certified_ends(capsys, tmp_path):
+    # 20 leaves: chi_so >= 3 since the centre's degree is even, and the 19
+    # lowest leaves (the girth-5 seed) plus two singletons colour it with 3
+    path = tmp_path / "star21.g6"
+    path.write_text(to_graph6(gen.star(21)) + "\n")
+    code, out, _ = run(capsys, "compute", "chi-so", str(path), "--json", "--deterministic")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 3 and data["exact"] is True and data["nodes"] == 0
+    assert data["note"] == ("closed by girth5-neighborhood seed = not-odd-bipartite"
+                            " (no cover search)")
+
+
 def test_verify_set_exit_codes(capsys, tmp_path):
     path = tmp_path / "p.g6"
     path.write_text(to_graph6(gen.petersen()) + "\n")

@@ -1,5 +1,6 @@
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from oddind import generators as gen
 from oddind.coloring import (
     AlphaTooLarge,
     Coloring,
+    _OisCover,
     chi_so_alpha2,
     chi_so_exact,
     chi_so_upper_from_partition,
@@ -26,6 +28,7 @@ from oddind.independence import (
     odd_bipartite_seed,
     odd_independent_set_masks,
 )
+from oddind.results import Deadline
 
 
 def brute_chromatic(g, strong_odd=False) -> int:
@@ -210,6 +213,50 @@ def test_fallback_seed_closes_by_the_cheap_rung():
         assert len(seed) == want and is_odd_independent(g, seed)
 
 
+def test_fallback_seed_keeps_the_greedy_set_on_a_timeout():
+    # alpha(square) at a spent budget stops at one vertex; the greedy square
+    # set (64 on Q10) is larger, so it stays the seed
+    g = gen.hypercube(10)
+    seed = greedy_ois_lower(g, budget=0)
+    assert len(seed) >= 64 and is_odd_independent(g, seed)
+
+
+def test_star_closes_from_certified_ends():
+    # n - 1 leaves: odd, and the sides of the star are the two classes; even,
+    # and the centre's 2-colouring fails, while n - 2 leaves form one class
+    for n in range(3, 61):
+        g = gen.star(n)
+        res = chi_so_exact(g, budget=5)
+        assert res.exact and res.nodes == 0, n
+        assert res.value == (2 if (n - 1) % 2 else 3), n
+        assert is_strong_odd_coloring(g, res.witness) and res.witness.num_colors == res.value
+        if res.value == 3:  # with 2 leaves, the square seed ties and comes first
+            seed = "girth5-neighborhood" if n > 3 else "square-independence"
+            assert res.note == f"closed by {seed} seed = not-odd-bipartite (no cover search)"
+
+
+@pytest.mark.slow
+def test_certified_ends_against_the_partition_oracle():
+    # every connected graph of order <= 8; each component of a smaller graph
+    # is one of them
+    from oddind.enumeration import all_graphs, graphs_upto
+
+    closes = 0
+    for g in graphs_upto(7) + list(all_graphs(8)):
+        if not g.is_connected() or not g.edge_count() or odd_bipartite_seed(g):
+            continue  # the cover returns before the rung
+        cover = _OisCover(g, Deadline(None))
+        classes = cover._certified_ends()
+        want = _min_ois_partition(g)
+        assert cover.lower <= want, g.adj
+        if classes is not None:
+            closes += 1
+            assert len(classes) == want, g.adj
+            assert sum(classes) == g.full_mask == reduce(or_, classes), g.adj
+            assert all(is_odd_independent(g, c) for c in classes), g.adj
+    assert closes > 0
+
+
 def test_chi_so_timeout_keeps_proven_lower_bound():
     # C_5 needs 5 classes; C_30 has more than 22 vertices, so its search is
     # skipped.  chi_so(C_30) = 3, so the true value is 5.
@@ -220,9 +267,10 @@ def test_chi_so_timeout_keeps_proven_lower_bound():
         assert 5 <= res.lower <= 5 <= res.upper
         assert is_strong_odd_coloring(h, res.witness)
         assert res.witness.num_colors == res.value == res.upper
-    # an expired budget proves only the trivial bound
+    # an expired budget proves only the structural bound: Petersen is not
+    # bipartite, so it has no 2-colouring at all
     res = chi_so_exact(gen.petersen(), budget=-1)
-    assert not res.exact and res.lower == 2 and res.upper >= 6
+    assert not res.exact and res.lower == 3 and res.upper >= 6
 
 
 def test_alpha2_examples():

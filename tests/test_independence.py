@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddind import generators as gen
-from oddind.graphs import VertexSet, _complement_rows, complement, from_edge_list, square
+from oddind.graphs import (
+    VertexSet,
+    _complement_rows,
+    bits_of,
+    complement,
+    from_edge_list,
+    square,
+)
 from oddind.independence import (
     _alpha_root_bound,
     _ordered_clique_solver,
@@ -113,6 +120,54 @@ def test_pair_classification_deadline_gives_subset():
             assert part.forbidden <= full.forbidden
             assert set(part.forcing) <= set(full.forcing)
         assert pair_classification(g, _Countdown(2 * g.n)) == full
+
+
+def _pair_classification_loop(g):
+    """Oracle: forbidden and forcing pairs by the plain pair-by-pair loops."""
+    n = g.n
+    forb_rows = [0] * n
+    forbidden = set()
+    for x in range(n):
+        for y in range(x + 1, n):
+            if g.has_edge(x, y):
+                continue
+            common = g.adj[x] & g.adj[y]
+            if not common:
+                continue
+            cover = g.closed_row(x) | g.closed_row(y)
+            for z in bits_of(common):
+                if g.closed_row(z) & ~cover == 0:
+                    forbidden.add((x, y))
+                    forb_rows[x] |= 1 << y
+                    forb_rows[y] |= 1 << x
+                    break
+    forcing = []
+    seen = set()
+    for z in range(n):
+        nbrs = list(bits_of(g.adj[z]))
+        for i, x in enumerate(nbrs):
+            for y in nbrs[i + 1:]:
+                if g.has_edge(x, y) or (x, y) in seen:
+                    continue
+                third = g.adj[z] & ~g.adj[x] & ~g.adj[y] & ~(1 << x) & ~(1 << y)
+                # every independent third neighbor must pair forbidden with x or y
+                if third & ~(forb_rows[x] | forb_rows[y]) == 0:
+                    forcing.append(((x, y), z))
+                    seen.add((x, y))
+    return frozenset(forbidden), tuple(forcing)
+
+
+def test_pair_classification_matches_the_pair_loop():
+    # ``forcing`` is a tuple, so its order is compared too
+    from oddind.enumeration import graphs_upto
+
+    rng = random.Random(12)
+    sampled = [from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < p])
+               for n in range(8, 41) for p in (0.1, 0.2, 0.35, 0.6) for _ in range(3)]
+    for g in graphs_upto(7) + sampled:
+        pc = pair_classification(g)
+        assert (pc.forbidden, pc.forcing) == _pair_classification_loop(g), g.adj
 
 
 def test_alpha_examples():
