@@ -343,13 +343,16 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
 
     Components are solved independently (classes merge across components),
     so the answer is the largest ``k`` proven necessary in any component;
-    on a timeout that is the lower end of the interval.
+    on a timeout that is the lower end of the interval.  A component the
+    cover does not solve (its cap or the deadline) is coloured by its own
+    ``greedy_ois_lower`` seed plus singletons, and the solved ones keep
+    their classes, so the upper end is the most classes any component uses.
     """
     deadline = Deadline(default_budget() if budget is None else budget)
     if g.n == 0:
         return SolveResult(0, Coloring(()), "ois-partition")
     colors = [0] * g.n
-    lower = nodes = 0
+    lower = upper = nodes = 0
     exact = True
     notes = {}  # distinct component notes, in order
     for comp in g.component_masks():
@@ -358,24 +361,23 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
         try:
             classes = cover.solve()
         except BudgetExceeded:
-            exact, classes = False, []
+            exact = False
+            seed = greedy_ois_lower(sub, budget=max(deadline.remaining(), 0.0)).mask
+            classes = [seed] + [1 << v for v in bits_of(sub.full_mask ^ seed)]
         lower = max(lower, cover.lower)
+        upper = max(upper, len(classes))
         nodes += cover.nodes
         notes.setdefault(cover.note)
         for ci, cmask in enumerate(classes):
             for v in bits_of(cmask):
                 colors[keep[v]] = ci
-    if not exact:
-        notes.setdefault("budget exhausted")
-        seed = greedy_ois_lower(g, budget=max(deadline.remaining(), 0.0))
-        k_up, witness = chi_so_upper_from_partition(g, [seed])
-        return SolveResult(k_up, witness, "ois-partition", exact=False,
-                           lower=lower, upper=k_up, nodes=nodes, millis=deadline.elapsed_ms(),
-                           note="; ".join(n for n in notes if n))
     witness = Coloring(colors)
     assert is_strong_odd_coloring(g, witness)
-    return SolveResult(lower, witness, "ois-partition", nodes=nodes,
-                       millis=deadline.elapsed_ms(), note="; ".join(n for n in notes if n))
+    if not exact:
+        notes.setdefault("budget exhausted")
+    return SolveResult(lower if exact else upper, witness, "ois-partition", exact=exact,
+                       lower=lower, upper=upper, nodes=nodes, millis=deadline.elapsed_ms(),
+                       note="; ".join(n for n in notes if n))
 
 
 def chi_so_alpha2(g: Graph) -> SolveResult:
@@ -438,15 +440,16 @@ def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
 def greedy_ois_lower(g: Graph, budget: Optional[float] = None) -> VertexSet:
     """Cheap verified OIS used as a lower-bound seed: ``lower_bound_seed``
     given ``greedy_square_mask`` and the registry seeds, optimal when it
-    meets the least registry upper end (then no clique solve runs), else
-    replaced by the independent set of the square solved within ``budget``
-    (at most 10 s) only when that one is strictly larger, as in
-    ``alpha_od``: a timed-out solve may return less than the greedy set."""
+    meets the least registry upper end or ``budget`` is spent (then no
+    clique solve runs), else replaced by the independent set of the square
+    solved within ``budget`` (at most 10 s) only when that one is strictly
+    larger, as in ``alpha_od``: a timed-out solve may return less than the
+    greedy set."""
     if g.n == 0:
         return VertexSet(0)
     sq, seeds, least = square(g), registry_seeds(g), least_upper_bound(g)
     seed = lower_bound_seed(g, greedy_square_mask(sq), seeds)
-    if least is None or seed.value < floor(least.value):
+    if (least is None or seed.value < floor(least.value)) and (budget is None or budget > 0):
         res = alpha(sq, budget=10.0 if budget is None else min(10.0, budget))
         seed = max(seed, lower_bound_seed(g, res.witness.mask, []), key=lambda b: b.value)
     return VertexSet(g.n, seed.mask)

@@ -7,7 +7,7 @@ search below branches over the hereditary envelope (independent sets).  Each
 node carries two bitsets of the chosen rows: ``odd``, their XOR (the vertices
 with an odd count), and ``seen``, their OR (the vertices with a positive
 count).  A chosen independent set is an OIS iff ``seen & ~odd == 0``, so each
-child is tested in O(1) big-int operations.  Four sound cuts prune it:
+child is tested in O(1) big-int operations.  Five sound cuts prune it:
 
 * pair cuts: no OIS contains a *forbidden pair* (nonadjacent ``x, y`` with a
   common neighbor ``z`` whose closed neighborhood lies inside
@@ -16,9 +16,21 @@ child is tested in O(1) big-int operations.  Four sound cuts prune it:
 * bounds: a greedy clique cover of the pool bounds what the subtree can
   add, and the search stops once it meets the independence number or an
   upper end of the registry below;
-* parity doom: a vertex in ``seen & ~odd`` (even, positive count) with no
-  neighbor left in the pool keeps an even count in every set of the
-  subtree, and cannot join one because it is adjacent to the chosen set;
+* parity closure: a vertex ``u`` in ``seen`` is adjacent to the chosen set,
+  so it never joins it, and its final count must be odd.  Over GF(2) the
+  pool vertices ``x`` still to be taken satisfy ``(rows[u] & pool) . x =
+  [u in seen & ~odd]``.  Each node keeps this system in reduced row-echelon
+  form, derived from its parent's (``_OisSearch._closure``): an inconsistent
+  system prunes the node, a row ``x_w = 0`` drops ``w`` from the pool, and
+  a row ``x_w = 1`` stops the node's sibling loop after ``w``, since no
+  later sibling's pool holds it.  Every derived row is an XOR of original
+  rows with the XOR of their right sides, so the cuts hold whatever the
+  elimination order (XOR reasoning by Gauss-Jordan elimination, as in
+  Soos, Nohl & Castelluccia, SAT 2009);
+* parity doom, the closure's one-row case, re-tested after each branch as
+  the pool shrinks: a vertex in ``seen & ~odd`` (even, positive count) with
+  no neighbor left in the pool keeps an even count in every set of the
+  subtree;
 * orbits at every node (orbital branching): a node with chosen set ``S``
   and pool ``P`` skips a branch ``v`` that a proved automorphism fixing
   ``S`` and ``P`` setwise maps onto an earlier vertex ``u``.  It maps each
@@ -451,6 +463,9 @@ def _doomed(rows, even, p) -> bool:
     return False
 
 
+_WORK_PER_CHECK = 4096  # OIS search work between deadline checks: 4 a node, 1 a row operation
+
+
 class _OisSearch:
     """Branch and bound over the independent sets, in ``order``.
 
@@ -460,6 +475,16 @@ class _OisSearch:
     vertices with an odd count) and ``seen`` (OR of the chosen rows: those
     with a positive count), so a chosen set is an OIS iff
     ``seen & ~odd == 0``; an independent set never meets ``seen``.
+
+    Parity closure (module docstring): a node also carries ``basis``, its
+    parity system in reduced row-echelon form as ``{pivot bit: row}``.  A
+    row is a pool bitmask with its right side in bit ``n``; a new pivot is
+    the row's highest pool bit, so the earlier siblings that leave a child's
+    pool seldom take a pivot with them.  ``parity`` counts the nodes pruned,
+    the vertices excluded and the sibling loops stopped by a forced vertex.
+    The deadline is read at the first node and then whenever ``work``
+    reaches ``_WORK_PER_CHECK``, so at most every 1,024 nodes and sooner
+    where the systems are large.
 
     Orbit cut (module docstring): the root, and a node whose subtree has
     spent ``threshold`` nodes (2|E|, about a proof's cost), prove before
@@ -473,37 +498,100 @@ class _OisSearch:
         self.rows = [_relabel(g.adj[v], pos) for v in order]
         self.bad = [_relabel(bad_rows[v], pos) for v in order]
         self.n = g.n
+        self.rhs = 1 << g.n  # the right-side bit of a parity row
         self.deadline = deadline
         self.best_mask = _relabel(best_mask, pos)
         self.best = best_mask.bit_count()
         self.upper = upper
         self.nodes = 0
+        self.work = _WORK_PER_CHECK  # since the last deadline check; full, so node 1 checks
         self.timed_out = False
         self.threshold = sum(r.bit_count() for r in self.rows)
         self.root = None  # (least vertex of each orbit, generators) at the root
         self.proofs = 0  # nodes whose group was proved
         self.skipped = [0, 0]  # branches cut by the orbits: at the root, below it
+        self.parity = [0, 0, 0]  # parity closure: nodes pruned, vertices excluded, stops
 
     def run(self):
-        self._expand(0, (1 << self.n) - 1, 0, 0)
+        self._expand(0, (1 << self.n) - 1, 0, 0, {}, 0, 0)
         self.best_mask = _relabel(self.best_mask, self.order)
 
-    def _expand(self, s, p, odd, seen):
+    def _closure(self, basis, p, bit, fresh):
+        """The parity system of a node with pool ``p``, entered by taking
+        ``bit`` at a parent whose system is ``basis``; ``fresh`` holds the
+        vertices the node newly sees.
+
+        Returns ``(basis, p, forced)``: the node's reduced system with its
+        excluded vertices dropped from it and from ``p``, and the mask of
+        the forced vertices; or None if the system is inconsistent.
+        """
+        rhs, rows, full = self.rhs, self.rows, self.rhs - 1
+        keep, sub = p | rhs, bit | rhs
+        drop = ~keep
+        out, redo = {}, []
+        for piv, r in basis.items():
+            if r & bit:
+                r ^= sub  # x_v = 1
+            if r & drop:  # the columns that leave the pool are 0
+                r &= keep
+            if piv & p:
+                out[piv] = r
+            else:
+                redo.append(r)
+        for w in bits_of(fresh):  # w sees one chosen vertex, so an even rest
+            redo.append(rows[w] & p)
+        self.work += 4 + len(basis) + len(redo) * (1 + len(out))
+        pivots = 0
+        for piv in out:
+            pivots |= piv
+        for r in redo:
+            m = r & pivots
+            while m:  # reduce by the rows whose pivot r holds
+                low = m & -m
+                r ^= out[low]
+                m ^= low
+            body = r & full
+            if not body:
+                if r:
+                    self.parity[0] += 1
+                    return None  # 0 = 1: no extension is an OIS
+                continue
+            piv = 1 << (body.bit_length() - 1)
+            for q, t in out.items():
+                if t & piv:
+                    out[q] = t ^ r
+            out[piv] = r
+            pivots |= piv
+        forced = 0
+        for piv, r in list(out.items()):
+            if r == piv:  # x_w = 0 in every solution
+                del out[piv]
+                p ^= piv
+                self.parity[1] += 1
+            elif r == piv | rhs:  # x_w = 1 in every solution
+                forced |= piv
+        return out, p, forced
+
+    def _expand(self, s, p, odd, seen, basis, bit, fresh):
         self.nodes += 1
-        if self.nodes & 1023 == 1 and self.deadline.expired():  # from the first node on
-            self.timed_out = True
-            return
+        if self.work >= _WORK_PER_CHECK:  # from the first node on
+            self.work = 0
+            if self.deadline.expired():
+                self.timed_out = True
+                return
         if self.best >= self.upper:
             return
-        rows = self.rows
-        even = seen & ~odd
-        if _doomed(rows, even, p):
+        closed = self._closure(basis, p, bit, fresh)
+        if closed is None:
             return
+        basis, p, forced = closed
+        rows = self.rows
         size = s.bit_count()
         if _cover_fits(rows, p, self.best - size):
             return
-        bad = self.bad
+        even, bad = seen & ~odd, self.bad
         pool, start, least = p, self.nodes, None
+        stop = forced & -forced  # no later sibling's pool holds it
         while p:
             bit = p & -p
             v = bit.bit_length() - 1
@@ -517,8 +605,12 @@ class _OisSearch:
             if size + 1 > self.best and child_seen & ~child_odd == 0:
                 self.best = size + 1
                 self.best_mask = s | bit
-            self._expand(s | bit, p & ~row & ~bad[v], child_odd, child_seen)
+            self._expand(s | bit, p & ~row & ~bad[v], child_odd, child_seen, basis, bit,
+                         row & ~seen)
             if self.timed_out:
+                return
+            if bit == stop:
+                self.parity[2] += p != 0
                 return
             if _doomed(rows, even, p) or _cover_fits(rows, p, self.best - size):
                 return
@@ -708,6 +800,9 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
                         f" the root, {search.skipped[0]} root branch(es) skipped; ")
             notes.append(f"orbit cut: {root}groups proved at {search.proofs} node(s),"
                          f" {search.skipped[1]} branch(es) below the root skipped")
+        pruned, excluded, stops = search.parity
+        notes.append(f"parity closure: {pruned} node(s) pruned, {excluded} vertex(es)"
+                     f" excluded, {stops} sibling loop(s) stopped by a forced vertex")
     mask = search.best_mask if search else best.mask
     value = mask.bit_count()
     exact = value >= upper or (search is not None and not search.timed_out)

@@ -48,6 +48,18 @@ def test_alpha_od_q10_within_budget():
     assert res.lower >= 64
 
 
+@pytest.mark.parametrize("name", ["c5c5c5", "q8"])
+def test_alpha_od_frontier_within_budget(name):
+    # open frontier graphs, where the search's parity systems are largest
+    # per node: the deadline check is weighted by that work
+    g = _c5_cubed() if name == "c5c5c5" else gen.hypercube(8)
+    res, took = _timed(lambda: alpha_od(g, budget=1))
+    assert took <= 1 + SLACK, took
+    assert is_odd_independent(g, res.witness)
+    assert len(res.witness) == res.value
+    assert res.lower <= res.value <= res.upper
+
+
 def test_alpha_od_line_graph_k40_within_budget():
     # 780 vertices: the claw test alone takes about a second; unhurried, the
     # claw-free rung closes it at 1 (the square is complete)

@@ -221,6 +221,19 @@ def test_fallback_seed_keeps_the_greedy_set_on_a_timeout():
     assert len(seed) >= 64 and is_odd_independent(g, seed)
 
 
+def test_fallback_seed_skips_the_clique_solve_on_a_spent_budget(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("alpha(square) ran on a spent budget")
+
+    monkeypatch.setattr("oddind.coloring.alpha", no_solve)
+    g = gen.hypercube(10)
+    seed = greedy_ois_lower(g, budget=0)
+    assert len(seed) == 64 and is_odd_independent(g, seed)  # the greedy square set
+    res = chi_so_exact(g, budget=0)
+    assert not res.exact and res.upper == res.value == 1024 - 64 + 1
+    assert is_strong_odd_coloring(g, res.witness)
+
+
 def test_star_closes_from_certified_ends():
     # n - 1 leaves: odd, and the sides of the star are the two classes; even,
     # and the centre's 2-colouring fails, while n - 2 leaves form one class
@@ -271,6 +284,18 @@ def test_chi_so_timeout_keeps_proven_lower_bound():
     # bipartite, so it has no 2-colouring at all
     res = chi_so_exact(gen.petersen(), budget=-1)
     assert not res.exact and res.lower == 3 and res.upper >= 6
+
+
+def test_chi_so_timeout_keeps_the_solved_components():
+    # C_5 closes at 5 and keeps its classes; C_30 passes the cover's cap and
+    # is coloured from its own seed (10 vertices, so 21 classes), and the
+    # class indices merge: 21, where one seed for the whole graph gave 25
+    for g in (disjoint_union(gen.cycle(5), gen.cycle(30)),
+              disjoint_union(gen.cycle(30), gen.cycle(5))):
+        res = chi_so_exact(g, budget=5)
+        assert not res.exact and (res.lower, res.upper) == (5, 21)
+        assert is_strong_odd_coloring(g, res.witness)
+        assert res.witness.num_colors == res.value == 21
 
 
 def test_alpha2_examples():

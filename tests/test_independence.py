@@ -10,6 +10,7 @@ from oddind.graphs import (
     VertexSet,
     _complement_rows,
     bits_of,
+    cartesian_product,
     complement,
     from_edge_list,
     square,
@@ -17,6 +18,7 @@ from oddind.graphs import (
 from oddind.independence import (
     _alpha_root_bound,
     _ordered_clique_solver,
+    _OisSearch,
     _ois_search,
     _outside_parity_ok,
     _relabel,
@@ -427,6 +429,84 @@ def test_cycle_1500_closes_by_the_cheap_rung():
                         " (no clique solve)")
 
 
+def _parity_solutions(g, s, p):
+    """Every ``T`` inside ``p`` that gives each vertex seen by ``s`` an odd
+    count in ``s + T``, by enumeration."""
+    seen = 0
+    for v in bits_of(s):
+        seen |= g.adj[v]
+    out = []
+    for t in range(1 << g.n):
+        if t & ~p:
+            continue
+        chosen = s | t
+        if all((g.adj[u] & chosen).bit_count() % 2 for u in bits_of(seen)):
+            out.append(t)
+    return out
+
+
+def test_parity_closure_matches_enumeration():
+    # along random chosen sets, the closure prunes exactly the nodes whose
+    # parity system has no solution, and its excluded and forced vertices
+    # are exactly those fixed to 0 and to 1 in every solution
+    rng = random.Random(20261019)
+    fired = [0, 0, 0]
+    for _ in range(300):
+        n = rng.randint(4, 11)
+        p_edge = rng.choice([0.2, 0.3, 0.45])
+        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p_edge])
+        search = _OisSearch(g, [0] * n, list(range(n)), Deadline(None), 0, n)
+        basis, s, seen, p, bit, fresh = {}, 0, 0, g.full_mask, 0, 0
+        while True:
+            closed = search._closure(basis, p, bit, fresh)
+            sols = _parity_solutions(g, s, p)
+            if closed is None:
+                assert not sols, (g.adj, s, p)
+                fired[0] += 1
+                break
+            basis, q, forced = closed
+            assert sols, (g.adj, s, p)
+            always = p
+            never = p
+            for t in sols:
+                always &= t
+                never &= ~t
+            assert q == p & ~never and forced == always, (g.adj, s, p)
+            fired[1] += bool(never)
+            fired[2] += bool(always)
+            # take a random vertex of the pool, drop some others
+            p = q
+            if not p:
+                break
+            v = rng.choice(list(bits_of(p)))
+            bit = 1 << v
+            s |= bit
+            fresh, seen = g.adj[v] & ~seen, seen | g.adj[v]
+            drop = sum(1 << w for w in bits_of(p) if rng.random() < 0.2)
+            p &= ~bit & ~g.adj[v] & ~drop
+    assert all(fired), fired
+
+
+def test_ois_search_checks_its_deadline_by_its_work():
+    # at most every 1,024 nodes, and far sooner where the parity systems
+    # are large: Q10's rows span about a thousand pool bits
+    for g, most in ((gen.path(60), 1025), (gen.cycle(200), 1025), (gen.hypercube(10), 64)):
+        deadline = _ExpiresOnSecondCheck()
+        search = _OisSearch(g, [0] * g.n, list(range(g.n)), deadline, 0, g.n)
+        search.run()
+        assert search.timed_out and deadline.checks == 2 and search.nodes <= most, g.n
+
+
+def test_q4_box_c6_closes_within_the_default_budget():
+    # [36, 43] after 30 s without the parity closure; the MILP oracle gives 36
+    g = cartesian_product(gen.hypercube(4), gen.cycle(6))
+    res = alpha_od(g)
+    assert res.exact and res.value == res.lower == res.upper == 36
+    assert is_odd_independent(g, res.witness) and len(res.witness) == 36
+    assert "parity closure: " in res.note
+
+
 def test_search_on_an_expired_deadline_runs_one_node():
     g = gen.hypercube(6)
     spent = Deadline(-1.0)
@@ -498,6 +578,9 @@ class _ExpiresOnSecondCheck:
     def expired(self):
         self.checks += 1
         return self.checks >= 2
+
+    def remaining(self):
+        return None  # the orbit proofs of the OIS search run unbounded
 
 
 def test_clique_solver_checks_its_deadline_every_256_nodes():

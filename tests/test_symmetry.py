@@ -105,16 +105,17 @@ def test_discrete_partition_proves_the_group_trivial(monkeypatch):
 def test_node_pins():
     # the root enters one branch of the vertex-transitive 6-cube and of
     # KG(9,3), and nodes below it prove their own groups; rc38 has a trivial
-    # group, so its search is the plain one
+    # group, so its search is the plain one with the parity closure
     q6 = alpha_od(gen.hypercube(6))
-    assert q6.exact and q6.value == 24 and q6.nodes <= 12_000
+    assert q6.exact and q6.value == 24 and q6.nodes <= 2_500
     assert "1 orbit(s)" in q6.note
     kg = alpha_od(gen.kneser(9, 3))
-    assert kg.exact and kg.value == 3 and kg.nodes <= 20_000
+    assert kg.exact and kg.value == 3 and kg.nodes <= 2_000
     assert "1 orbit(s)" in kg.note
     rc = alpha_od(random_connected_graph(38, 0.15, 38))
-    assert rc.exact and rc.value == 11 and rc.nodes == 4553
+    assert rc.exact and rc.value == 11 and rc.nodes == 756
     assert "from 0 proved generator(s)" in rc.note
+    assert "parity closure: " in rc.note
 
 
 def _search(g, threshold=None):
@@ -134,7 +135,9 @@ def _search(g, threshold=None):
 def test_node_cut_matches_root_cut_above_brute_force_cap(name):
     g = {"q6": lambda: gen.hypercube(6), "kg9_3": lambda: gen.kneser(9, 3),
          "sk7": lambda: gen.complete_subdivision(7)}[name]()
-    node_cut = _search(g)
+    # the parity closure keeps KG(9,3)'s subtrees below the 2|E| threshold,
+    # so its node cut proves a group at every node that reaches one
+    node_cut = _search(g, threshold=0 if name == "kg9_3" else None)
     root_only = _search(g, threshold=float("inf"))
     assert node_cut.best == root_only.best
     assert node_cut.skipped[1] > 0 and root_only.skipped[1] == 0
