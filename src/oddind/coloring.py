@@ -32,7 +32,6 @@ a timeout or the cap reports.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import ceil, floor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -264,14 +263,11 @@ class _OisCover:
             return closed
         if sub.n > 22:
             raise BudgetExceeded  # partition search is meant for desk scale
-        masks = odd_independent_set_masks(sub, deadline)
-        # the walk's depth-first order emits the empty set, then the sets
-        # grouped by lowest vertex in increasing order: pivot v's candidates
-        # are the slice whose key, 1 + the lowest vertex, is v + 1
-        cuts = [bisect_right(masks, v, key=lambda m: (m & -m).bit_length())
-                for v in range(sub.n + 1)]
-        self.by_pivot = [masks[cuts[v]:cuts[v + 1]] for v in range(sub.n)]
-        del masks  # the slices hold every candidate the cover reads
+        # pivot v's candidates: the classes whose lowest vertex is v
+        self.by_pivot = [[] for _ in range(sub.n)]
+        for m in odd_independent_set_masks(sub, deadline):
+            if m:
+                self.by_pivot[(m & -m).bit_length() - 1].append(m)
         for lst in self.by_pivot:
             if deadline.expired():
                 raise BudgetExceeded

@@ -404,17 +404,33 @@ def _bipartition(g: Graph) -> Optional[Tuple[int, int]]:
 
 
 def _is_claw_free(g: Graph, deadline=None) -> bool:
-    """Whether no vertex has three pairwise nonadjacent neighbors ``x < y <
-    z``; False ("not shown claw-free") once ``deadline`` expires."""
+    """Whether no vertex has three pairwise nonadjacent neighbors; False
+    ("not shown claw-free") once ``deadline`` expires.
+
+    ``v`` centres a claw iff some neighbor ``x`` leaves ``N(v) - N[x]`` not
+    a clique.  Each such set found to be a clique is grown greedily to a
+    maximal clique of ``N(v)``, and an ``x`` whose set lies inside a clique
+    already found is skipped: on a line graph two cliques settle ``v``.
+    """
+    adj = g.adj
     for v in range(g.n):
         if deadline is not None and deadline.expired():
             return False
-        nbrs = g.adj[v]
+        nbrs, cliques = adj[v], []
         for x in bits_of(nbrs):
-            rest = nbrs & ~g.adj[x] & -(2 << x)  # neighbors of v above x, not adjacent to x
+            rest = nbrs & ~adj[x] & ~(1 << x)
+            if not rest or any(rest & ~c == 0 for c in cliques):
+                continue
+            grow = nbrs  # ends as the neighbors of v adjacent to all of rest
             for y in bits_of(rest):
-                if rest & ~g.adj[y] & -(2 << y):
-                    return False
+                if rest & ~adj[y] & ~(1 << y):
+                    return False  # a claw: x, y and a vertex of rest that y misses
+                grow &= adj[y]
+            while grow:
+                low = grow & -grow
+                rest |= low
+                grow &= adj[low.bit_length() - 1]
+            cliques.append(rest)
     return True
 
 

@@ -7,7 +7,7 @@ search below branches over the hereditary envelope (independent sets).  Each
 node carries two bitsets of the chosen rows: ``odd``, their XOR (the vertices
 with an odd count), and ``seen``, their OR (the vertices with a positive
 count).  A chosen independent set is an OIS iff ``seen & ~odd == 0``, so each
-child is tested in O(1) big-int operations.  Five sound cuts prune it:
+child is tested in O(1) big-int operations.  Four sound cuts prune it:
 
 * pair cuts: no OIS contains a *forbidden pair* (nonadjacent ``x, y`` with a
   common neighbor ``z`` whose closed neighborhood lies inside
@@ -20,17 +20,17 @@ child is tested in O(1) big-int operations.  Five sound cuts prune it:
   so it never joins it, and its final count must be odd.  Over GF(2) the
   pool vertices ``x`` still to be taken satisfy ``(rows[u] & pool) . x =
   [u in seen & ~odd]``.  Each node keeps this system in reduced row-echelon
-  form, derived from its parent's (``_OisSearch._closure``): an inconsistent
-  system prunes the node, a row ``x_w = 0`` drops ``w`` from the pool, and
-  a row ``x_w = 1`` stops the node's sibling loop after ``w``, since no
-  later sibling's pool holds it.  Every derived row is an XOR of original
-  rows with the XOR of their right sides, so the cuts hold whatever the
-  elimination order (XOR reasoning by Gauss-Jordan elimination, as in
-  Soos, Nohl & Castelluccia, SAT 2009);
-* parity doom, the closure's one-row case, re-tested after each branch as
-  the pool shrinks: a vertex in ``seen & ~odd`` (even, positive count) with
-  no neighbor left in the pool keeps an even count in every set of the
-  subtree;
+  form, derived from its parent's on entry and closed again after each
+  branch with that sibling out of the pool (``x_v = 0``: every set of the
+  later subtrees avoids it), both by ``_OisSearch._closure``.  An
+  inconsistent system ends the node's sibling loop, a row ``x_w = 0`` drops
+  ``w`` from the pool, and a row ``x_w = 1`` stops the loop after ``w``,
+  since no later sibling's pool holds it.  A vertex of ``seen & ~odd`` with
+  no neighbor left in the pool is the one-row case: its row reads ``0 =
+  1``.  Every derived row is an XOR of true rows with the XOR of their
+  right sides, so the cuts hold whatever the elimination order (XOR
+  reasoning by Gauss-Jordan elimination, as in Soos, Nohl & Castelluccia,
+  SAT 2009);
 * orbits at every node (orbital branching): a node with chosen set ``S``
   and pool ``P`` skips a branch ``v`` that a proved automorphism fixing
   ``S`` and ``P`` setwise maps onto an earlier vertex ``u``.  It maps each
@@ -320,17 +320,6 @@ def _ordered_clique_solver(rows, n, deadline):
     return _CliqueSolver([_relabel(rows[v], pos) for v in order], n, deadline), pos, order
 
 
-def _max_clique(rows, n, deadline, seed_mask=0):
-    if n == 0:
-        return 0, 0, 0, True, 0
-    solver, pos, order = _ordered_clique_solver(rows, n, deadline)
-    if seed_mask:
-        solver.seed(_relabel(seed_mask, pos))
-    solver.run()
-    back = _relabel(solver.best_mask, order)
-    return solver.best, back, solver.nodes, not solver.timed_out, solver.root_bound
-
-
 def _alpha_root_bound(g: Graph) -> int:
     """The coloring bound that ``alpha(g)`` starts its search from (its
     ``upper`` on a timeout), without the search."""
@@ -342,21 +331,23 @@ def alpha(g: Graph, budget: Optional[float] = None, seed=None) -> SolveResult:
     """Exact maximum independent set via clique search on the complement."""
     deadline = Deadline(default_budget() if budget is None else budget)
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
-    seed_mask = 0
+    solver, pos, order = _ordered_clique_solver(_complement_rows(g), g.n, deadline)
     if seed is not None:
         seed_mask = _as_mask(g, seed)
         if not is_independent(g, seed_mask):
             raise ValueError("seed is not independent")
-    best, mask, nodes, exact, root_bound = _max_clique(_complement_rows(g), g.n, deadline,
-                                                       seed_mask)
+        solver.seed(_relabel(seed_mask, pos))
+    if g.n:  # the empty graph: 0 nodes
+        solver.run()
+    exact = not solver.timed_out
     return SolveResult(
-        value=best,
-        witness=VertexSet(g.n, mask),
+        value=solver.best,
+        witness=VertexSet(g.n, _relabel(solver.best_mask, order)),
         method=BRANCH_BOUND,
         exact=exact,
-        lower=best,
-        upper=best if exact else root_bound,
-        nodes=nodes,
+        lower=solver.best,
+        upper=solver.best if exact else solver.root_bound,
+        nodes=solver.nodes,
         millis=deadline.elapsed_ms(),
     )
 
@@ -369,10 +360,9 @@ def alpha_square(g: Graph, budget: Optional[float] = None) -> SolveResult:
 # -- exact odd independence ----------------------------------------------------
 
 
-def independent_set_masks(g: Graph, within: Optional[int] = None) -> Iterator[int]:
-    """Yield every independent subset of ``within`` (default all) once."""
+def independent_set_masks(g: Graph) -> Iterator[int]:
+    """Yield every independent set of ``g`` once."""
     rows = g.adj
-    start = g.full_mask if within is None else within
 
     def rec(s, p):
         yield s
@@ -382,7 +372,7 @@ def independent_set_masks(g: Graph, within: Optional[int] = None) -> Iterator[in
             p ^= bit
             yield from rec(s | bit, p & ~rows[v])
 
-    yield from rec(0, start)
+    yield from rec(0, g.full_mask)
 
 
 def odd_independent_set_masks(g: Graph, deadline: Optional[Deadline] = None) -> List[int]:
@@ -448,21 +438,6 @@ def _cover_fits(rows, P, k) -> bool:
     return k >= 0
 
 
-def _doomed(rows, even, p) -> bool:
-    """Parity doom: some vertex of ``even`` has no neighbor in ``p``.
-
-    ``even`` holds the vertices whose count is even and positive.  Such a
-    vertex is adjacent to the chosen set, so it never joins it, and with no
-    neighbor in ``p`` its count stays even in every set of the subtree.
-    """
-    while even:
-        low = even & -even
-        if not rows[low.bit_length() - 1] & p:
-            return True
-        even ^= low
-    return False
-
-
 _WORK_PER_CHECK = 4096  # OIS search work between deadline checks: 4 a node, 1 a row operation
 
 
@@ -479,9 +454,12 @@ class _OisSearch:
     Parity closure (module docstring): a node also carries ``basis``, its
     parity system in reduced row-echelon form as ``{pivot bit: row}``.  A
     row is a pool bitmask with its right side in bit ``n``; a new pivot is
-    the row's highest pool bit, so the earlier siblings that leave a child's
-    pool seldom take a pivot with them.  ``parity`` counts the nodes pruned,
-    the vertices excluded and the sibling loops stopped by a forced vertex.
+    the row's highest pool bit, so the earlier siblings that leave a pool
+    seldom take a pivot with them.  One site in the sibling loop closes the
+    system, on entry and after each branch, and then tests the clique-cover
+    bound.  ``parity`` counts the inconsistent systems (each ends a sibling
+    loop), the vertices excluded and the sibling loops stopped by a forced
+    vertex.
     The deadline is read at the first node and then whenever ``work``
     reaches ``_WORK_PER_CHECK``, so at most every 1,024 nodes and sooner
     where the systems are large.
@@ -519,7 +497,8 @@ class _OisSearch:
     def _closure(self, basis, p, bit, fresh):
         """The parity system of a node with pool ``p``, entered by taking
         ``bit`` at a parent whose system is ``basis``; ``fresh`` holds the
-        vertices the node newly sees.
+        vertices the node newly sees.  With ``bit = fresh = 0`` it is the
+        node's own ``basis`` again once siblings have left ``p``.
 
         Returns ``(basis, p, forced)``: the node's reduced system with its
         excluded vertices dropped from it and from ``p``, and the mask of
@@ -581,24 +560,38 @@ class _OisSearch:
                 return
         if self.best >= self.upper:
             return
-        closed = self._closure(basis, p, bit, fresh)
-        if closed is None:
-            return
-        basis, p, forced = closed
-        rows = self.rows
+        rows, bad = self.rows, self.bad
         size = s.bit_count()
-        if _cover_fits(rows, p, self.best - size):
-            return
-        even, bad = seen & ~odd, self.bad
-        pool, start, least = p, self.nodes, None
-        stop = forced & -forced  # no later sibling's pool holds it
-        while p:
-            bit = p & -p
-            v = bit.bit_length() - 1
-            p ^= bit
-            if least is not None and least[v] < v:
+        start, least = self.nodes, None
+        while True:
+            # the node's system: on entry, taking ``bit``; after each branch,
+            # with the siblings already branched on out of the pool (x = 0)
+            closed = self._closure(basis, p, bit, fresh)
+            if closed is None:
+                return
+            basis, p, forced = closed
+            if _cover_fits(rows, p, self.best - size):
+                return
+            stop = forced & -forced  # no later sibling's pool holds it
+            if start == self.nodes:  # no branch taken yet
+                pool = p
+            elif (least is None and p and self.best < self.upper
+                    and (not s or self.nodes - start >= self.threshold)):
+                rest = ((1 << self.n) - 1) ^ s ^ pool
+                least, gens = orbits(rows, _slice(self.deadline), start=[s, pool, rest])
+                self.proofs += 1
+                if not s:  # no root generator, none below it: stop proving
+                    self.root = least, gens
+                    self.threshold = self.threshold if gens else float("inf")
+            while p:
+                bit = p & -p
+                v = bit.bit_length() - 1
+                p ^= bit
+                if least is None or least[v] >= v:
+                    break
                 self.skipped[s > 0] += 1
-                continue
+            else:
+                return
             row = rows[v]
             child_odd = odd ^ row
             child_seen = seen | row
@@ -609,19 +602,10 @@ class _OisSearch:
                          row & ~seen)
             if self.timed_out:
                 return
-            if bit == stop:
+            if bit == stop or not p:
                 self.parity[2] += p != 0
                 return
-            if _doomed(rows, even, p) or _cover_fits(rows, p, self.best - size):
-                return
-            if (least is None and p and self.best < self.upper
-                    and (not s or self.nodes - start >= self.threshold)):
-                rest = ((1 << self.n) - 1) ^ s ^ pool
-                least, gens = orbits(rows, _slice(self.deadline), start=[s, pool, rest])
-                self.proofs += 1
-                if not s:  # no root generator, none below it: stop proving
-                    self.root = least, gens
-                    self.threshold = self.threshold if gens else float("inf")
+            bit = fresh = 0
 
 
 # -- the registry of certified bounds and seeds ---------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import inf
 
@@ -16,6 +17,7 @@ from oddind.graphs import (
     complement,
     disjoint_union,
     _bipartition,
+    _is_claw_free,
     from_edge_list,
     girth_at_least_5,
     join,
@@ -158,6 +160,37 @@ def test_claw_detection():
     assert metrics(gen.kbox(3, 3)).is_claw_free
     assert metrics(gen.line_graph(gen.petersen())).is_claw_free
     assert not metrics(gen.petersen()).is_claw_free
+
+
+def _claw_free_by_triples(g):
+    for v in range(g.n):
+        nbrs = [x for x in range(g.n) if g.adj[v] >> x & 1]
+        for i, x in enumerate(nbrs):
+            for j, y in enumerate(nbrs[i + 1:], i + 1):
+                for z in nbrs[j + 1:]:
+                    if not (g.adj[x] >> y & 1 or g.adj[x] >> z & 1 or g.adj[y] >> z & 1):
+                        return False
+    return True
+
+
+def test_claw_free_matches_triple_loop():
+    # the clique-skipping test against every triple of neighbors
+    from oddind.enumeration import graphs_upto
+
+    rng = random.Random(20261019)
+    panel = list(graphs_upto(7))
+    for _ in range(3000):
+        n, p = rng.randint(0, 16), rng.random()
+        panel.append(from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                        if rng.random() < p]))
+    panel += [gen.line_graph(h) for h in (gen.complete(12), gen.petersen(), gen.hypercube(4),
+                                          gen.kneser(7, 2))]
+    free = 0
+    for g in panel:
+        want = _claw_free_by_triples(g)
+        assert _is_claw_free(g) == want, g.adj
+        free += want
+    assert 0 < free < len(panel)
 
 
 @given(graphs())

@@ -305,20 +305,6 @@ def test_parity_kernel_matches_definition():
         assert sorted(odd_independent_set_masks(g)) == want, g.adj
 
 
-def test_ois_walk_groups_sets_by_lowest_vertex():
-    # the chi-so cover splits this list at pivot boundaries instead of
-    # bucketing it, so the order is part of the contract
-    rng = random.Random(20261019)
-    for n in [*range(15)] * 2:
-        p = rng.random()
-        g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                               if rng.random() < p])
-        masks = odd_independent_set_masks(g)
-        keys = [(m & -m).bit_length() for m in masks]  # 1 + lowest vertex, 0 if empty
-        assert masks[0] == 0 and keys.count(0) == 1, g.adj
-        assert keys == sorted(keys), g.adj
-
-
 def _registry_ends(g):
     """Upper ends, seeds with their masks, and value-only lower ends of the
     registry."""
@@ -448,22 +434,23 @@ def _parity_solutions(g, s, p):
 def test_parity_closure_matches_enumeration():
     # along random chosen sets, the closure prunes exactly the nodes whose
     # parity system has no solution, and its excluded and forced vertices
-    # are exactly those fixed to 0 and to 1 in every solution
+    # are exactly those fixed to 0 and to 1 in every solution; both on
+    # entry (taking a vertex) and after a branch (siblings leave the pool)
     rng = random.Random(20261019)
-    fired = [0, 0, 0]
+    fired = {(step, cut): 0 for step in ("take", "drop") for cut in range(3)}
     for _ in range(300):
         n = rng.randint(4, 11)
         p_edge = rng.choice([0.2, 0.3, 0.45])
         g = from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                if rng.random() < p_edge])
         search = _OisSearch(g, [0] * n, list(range(n)), Deadline(None), 0, n)
-        basis, s, seen, p, bit, fresh = {}, 0, 0, g.full_mask, 0, 0
+        basis, s, seen, p, bit, fresh, step = {}, 0, 0, g.full_mask, 0, 0, "take"
         while True:
             closed = search._closure(basis, p, bit, fresh)
             sols = _parity_solutions(g, s, p)
             if closed is None:
                 assert not sols, (g.adj, s, p)
-                fired[0] += 1
+                fired[step, 0] += 1
                 break
             basis, q, forced = closed
             assert sols, (g.adj, s, p)
@@ -473,19 +460,26 @@ def test_parity_closure_matches_enumeration():
                 always &= t
                 never &= ~t
             assert q == p & ~never and forced == always, (g.adj, s, p)
-            fired[1] += bool(never)
-            fired[2] += bool(always)
-            # take a random vertex of the pool, drop some others
+            fired[step, 1] += bool(never)
+            fired[step, 2] += bool(always)
             p = q
             if not p:
                 break
-            v = rng.choice(list(bits_of(p)))
+            if rng.random() < 0.4:
+                # the lowest vertex was branched on, now and then with more
+                # skipped by the orbit cut
+                step, bit, fresh = "drop", 0, 0
+                skip = rng.random() < 0.3
+                p &= ~(p & -p) & ~sum(1 << w for w in bits_of(p) if skip and rng.random() < 0.2)
+                continue
+            # take a random vertex of the pool, drop some others
+            step, v = "take", rng.choice(list(bits_of(p)))
             bit = 1 << v
             s |= bit
             fresh, seen = g.adj[v] & ~seen, seen | g.adj[v]
             drop = sum(1 << w for w in bits_of(p) if rng.random() < 0.2)
             p &= ~bit & ~g.adj[v] & ~drop
-    assert all(fired), fired
+    assert all(fired.values()), fired
 
 
 def test_ois_search_checks_its_deadline_by_its_work():
