@@ -8,9 +8,9 @@ vertex ids.
 
 from __future__ import annotations
 
+import base64
 import re
 from math import isqrt
-from typing import List
 
 from .graphs import Graph, MAX_VERTICES, from_edge_list
 
@@ -28,8 +28,12 @@ class MalformedDimacs(ValueError):
 
 
 _OUTSIDE_ALPHABET = re.compile(r"[^?-~]")  # graph6 bytes are chr(63)..chr(126)
-# a graph6 byte -> its six payload bits, most significant first
-_SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}
+# graph6 and base64 both write 6-bit groups, most significant bit first;
+# they differ only in the byte that stands for group k, chr(63 + k) here
+_BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6 = "".join(chr(63 + k) for k in range(64))
+_TO_GRAPH6 = bytes.maketrans(_BASE64.encode(), _GRAPH6.encode())
+_FROM_GRAPH6 = str.maketrans(_GRAPH6, _BASE64)
 
 
 def _check_bytes(text: str) -> None:
@@ -67,7 +71,9 @@ def parse_graph6(text: str) -> Graph:
         raise MalformedGraph6(
             f"expected {need} payload bytes for n={n}, got {len(text) - pos}", len(text)
         )
-    bits = text[pos:].translate(_SIX_BITS)
+    payload = text[pos:].translate(_FROM_GRAPH6)
+    raw = base64.b64decode(payload + "A" * (-len(payload) % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")[:6 * need]
     if "1" in bits[nbits:]:
         raise MalformedGraph6("nonzero padding bits", len(text) - 1)
     rows = [0] * n
@@ -89,19 +95,17 @@ def to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    bits: List[int] = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(g.adj[u] >> v & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    payload = []
-    for i in range(0, len(bits), 6):
-        group = 0
-        for b in bits[i:i + 6]:
-            group = group << 1 | b
-        payload.append(chr(group + 63))
-    return head + "".join(payload)
+    adj = g.adj
+    # column v holds the pairs (0,v), (1,v), ..., (v-1,v): the low v bits of
+    # adj[v], lowest first
+    bits = "".join([format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)])
+    if not bits:
+        return head
+    need = (len(bits) + 5) // 6
+    # 24 bits are three bytes and four base64 groups, so no "=" padding
+    bits += "0" * (-len(bits) % 24)
+    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    return head + base64.b64encode(raw)[:need].translate(_TO_GRAPH6).decode("ascii")
 
 
 def parse_dimacs(text: str) -> Graph:

@@ -31,9 +31,9 @@ from .graphs import (
     complement,
     disjoint_union,
     from_edge_list,
+    girth_at_least_5,
     is_triangle_free,
     join,
-    metrics,
     square,
     subdivide_all_edges,
     t_copies,
@@ -166,9 +166,17 @@ def hoffman_singleton() -> Graph:
             v = r + shift
             edges.extend((v, (x + shift) % 50) for x in nbrs)
     g = from_edge_list(50, edges)
-    met = metrics(g)
-    assert g.edge_count() == 175 and met.is_regular and met.max_degree == 7
-    assert met.girth == 5 and met.diameter == 2
+    assert g.edge_count() == 175 and all(row.bit_count() == 7 for row in g.adj)
+    # diameter 2 (7-regular on 50 vertices is not complete): every vertex is
+    # within two steps of each u.  A graph of diameter d with a cycle (175
+    # edges on 50 vertices make one) has girth at most 2d + 1, so with no
+    # triangle and no 4-cycle the girth is exactly 5
+    assert girth_at_least_5(g)
+    for u, row in enumerate(g.adj):
+        reach = row | 1 << u
+        for w in bits_of(row):
+            reach |= g.adj[w]
+        assert reach == g.full_mask
     return g
 
 

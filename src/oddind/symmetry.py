@@ -78,35 +78,54 @@ def _refine(rows, cells: List[int], cell_of: List[int], queue: Sequence[int],
         w = queue[qi]
         qi += 1
         queued[w] = False
-        splitter = cells[w]
-        touched = 0
-        bits = splitter
+        # bit-sliced counters: bit x of layers[i] is bit i of |N(x) & splitter|,
+        # summed row by row with a ripple carry
+        layers: List[int] = []
+        bits = cells[w]
         while bits:
             low = bits & -bits
-            touched |= rows[low.bit_length() - 1]
             bits ^= low
-        # each touched vertex of a non-singleton cell, by cell and count
-        hit = {}
+            carry = rows[low.bit_length() - 1]
+            for i, layer in enumerate(layers):
+                layers[i] = layer ^ carry
+                carry &= layer
+                if not carry:
+                    break
+            else:
+                layers.append(carry)
+        touched = 0
+        for layer in layers:
+            touched |= layer
+        # the non-singleton cells that meet the splitter's neighbourhood
+        hit = []
         bits = touched
         while bits:
-            low = bits & -bits
-            bits ^= low
-            x = low.bit_length() - 1
-            c = cell_of[x]
+            c = cell_of[(bits & -bits).bit_length() - 1]
             cell = cells[c]
+            bits &= ~cell
             if cell & (cell - 1):
-                groups = hit.setdefault(c, {})
-                count = (rows[x] & splitter).bit_count()
-                groups[count] = groups.get(count, 0) | low
+                hit.append(c)
         for c in sorted(hit):
-            groups = hit[c]
-            untouched = cells[c] & ~touched
-            if untouched:
-                groups[0] = untouched
-            if len(groups) == 1:
+            # split by the counters from the top layer down, so the fragments
+            # come out in increasing count
+            cell = cells[c]
+            keys, frags = [0], [cell]
+            for i in range(len(layers) - 1, -1, -1):
+                layer = layers[i] & cell
+                if not layer:
+                    continue
+                split_keys, split_frags = [], []
+                for k, f in zip(keys, frags):
+                    rest = f & ~layer
+                    if rest:
+                        split_keys.append(k)
+                        split_frags.append(rest)
+                    if rest != f:
+                        split_keys.append(k | 1 << i)
+                        split_frags.append(f ^ rest)
+                keys, frags = split_keys, split_frags
+            if len(frags) == 1:
                 continue
-            keys = sorted(groups)
-            frags = [groups[k] for k in keys]
             trace.append((w, c, tuple([(k, f.bit_count()) for k, f in zip(keys, frags)])))
             idx = [c] + list(range(len(cells), len(cells) + len(frags) - 1))
             cells[c] = frags[0]

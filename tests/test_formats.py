@@ -1,9 +1,13 @@
+import random
+from math import isqrt, log
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddind import generators as gen
+from oddind.cli import main
 from oddind.enumeration import all_graphs
 from oddind.formats import (
     MalformedDimacs,
@@ -13,7 +17,7 @@ from oddind.formats import (
     to_dimacs,
     to_graph6,
 )
-from oddind.graphs import from_edge_list
+from oddind.graphs import Graph, from_edge_list
 
 
 def _reference_graph6(g):
@@ -21,6 +25,61 @@ def _reference_graph6(g):
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())
     return nx.to_graph6_bytes(nxg, header=False).decode("ascii").strip()
+
+
+def _graph6_by_bits(g):
+    """The encoder as first written, one upper-triangle bit at a time: the
+    oracle for ``to_graph6``."""
+    n = g.n
+    if n < 63:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    bits = []
+    for v in range(1, n):
+        for u in range(v):
+            bits.append(g.adj[u] >> v & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    payload = []
+    for i in range(0, len(bits), 6):
+        group = 0
+        for b in bits[i:i + 6]:
+            group = group << 1 | b
+        payload.append(chr(group + 63))
+    return head + "".join(payload)
+
+
+def _gnp(n, p, seed):
+    """G(n, p) by geometric skips over the pairs in graph6 column order."""
+    if p == 1:
+        return Graph(n, [(1 << n) - 1 ^ 1 << v for v in range(n)])
+    rng = random.Random(seed)
+    rows = [0] * n
+    total = n * (n - 1) // 2
+    index = -1
+    while p > 0:
+        index += 1 + int(log(1 - rng.random()) / log(1 - p))
+        if index >= total:
+            break
+        v = (1 + isqrt(8 * index + 1)) // 2
+        u = index - v * (v - 1) // 2
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
+SIZES = [0, 1, 2, 5, 6, 7, 62, 63, 64, 65, 258, 1500]
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in SIZES for p in (0, 0.1, 0.5, 1)]
+                         + [(4096, 0), (4096, 0.1)])
+def test_rows_encode_as_the_bits(n, p):
+    g = _gnp(n, p, seed=n)
+    line = to_graph6(g)
+    assert line == _graph6_by_bits(g)
+    assert len(line) == (1 if n < 63 else 4) + (n * (n - 1) // 2 + 5) // 6
+    assert parse_graph6(line) == g
 
 
 def test_known_encodings():
@@ -45,18 +104,22 @@ def test_corpus_roundtrip_and_reference():
         assert to_graph6(parse_graph6(line)) == line
 
 
-def test_long_form_header():
+def test_long_form_header(capsys):
     g = gen.hypercube(7)  # 128 vertices needs the ~-prefixed count
     line = to_graph6(g)
     assert line.startswith("~")
     assert parse_graph6(line) == g
     assert line == _reference_graph6(g)
+    assert main(["gen", "hypercube", "7"]) == 0
+    assert capsys.readouterr().out == _graph6_by_bits(g) + "\n"
 
 
 def test_large_roundtrip():
     for g in (gen.cycle(1500), gen.hypercube(10)):
         line = to_graph6(g)
+        assert line == _graph6_by_bits(g)
         assert parse_graph6(line) == g
+    assert line == _reference_graph6(g)  # Q10 against networkx too
     g = from_edge_list(70, [(u, v) for u in range(70) for v in range(u + 1, 70)
                             if (u * 7 + v * 3) % 5 == 0])
     line = to_graph6(g)

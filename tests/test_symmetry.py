@@ -7,13 +7,14 @@ node, and above that cap against the search that proves a group at the
 root only.
 """
 
+import random
 from math import floor
 
 import pytest
 
 from oddind import generators as gen
 from oddind.bounds import random_connected_graph
-from oddind.enumeration import graphs_upto
+from oddind.enumeration import all_graphs, graphs_upto
 from oddind.graphs import square
 from oddind.independence import (
     _ois_search,
@@ -26,7 +27,7 @@ from oddind.independence import (
     upper_bounds,
 )
 from oddind.results import Deadline
-from oddind.symmetry import equitable, find_automorphism, is_automorphism, orbits
+from oddind.symmetry import _refine, equitable, find_automorphism, is_automorphism, orbits
 
 PANEL = {
     "q6": (gen.hypercube(6), 1),
@@ -101,6 +102,112 @@ def test_discrete_partition_proves_the_group_trivial(monkeypatch):
     least, gens = orbits(g.adj)
     assert least == list(range(g.n)) and gens == []
 
+
+def _refine_by_counts(rows, cells, cell_of, queue):
+    """The refinement as first written, the oracle for ``_refine``: each
+    touched vertex's count in the splitter, grouped per cell in a dict."""
+    trace = []
+    queue = list(queue)
+    queued = [False] * len(cells)
+    for w in queue:
+        queued[w] = True
+    qi = 0
+    while qi < len(queue):
+        w = queue[qi]
+        qi += 1
+        queued[w] = False
+        splitter = cells[w]
+        touched = 0
+        bits = splitter
+        while bits:
+            low = bits & -bits
+            touched |= rows[low.bit_length() - 1]
+            bits ^= low
+        hit = {}
+        bits = touched
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            x = low.bit_length() - 1
+            c = cell_of[x]
+            cell = cells[c]
+            if cell & (cell - 1):
+                groups = hit.setdefault(c, {})
+                count = (rows[x] & splitter).bit_count()
+                groups[count] = groups.get(count, 0) | low
+        for c in sorted(hit):
+            groups = hit[c]
+            untouched = cells[c] & ~touched
+            if untouched:
+                groups[0] = untouched
+            if len(groups) == 1:
+                continue
+            keys = sorted(groups)
+            frags = [groups[k] for k in keys]
+            trace.append((w, c, tuple([(k, f.bit_count()) for k, f in zip(keys, frags)])))
+            idx = [c] + list(range(len(cells), len(cells) + len(frags) - 1))
+            cells[c] = frags[0]
+            for j in range(1, len(frags)):
+                cells.append(frags[j])
+                queued.append(False)
+                bits = frags[j]
+                while bits:
+                    low = bits & -bits
+                    cell_of[low.bit_length() - 1] = idx[j]
+                    bits ^= low
+            skip = -1
+            if not queued[c]:
+                sizes = [f.bit_count() for f in frags]
+                skip = sizes.index(max(sizes))
+            for j, i in enumerate(idx):
+                if j != skip and not queued[i]:
+                    queued[i] = True
+                    queue.append(i)
+    return trace
+
+
+def _same_refinement(rows, cells, queue):
+    cell_of = [0] * len(rows)
+    for i, cell in enumerate(cells):
+        for v in range(len(rows)):
+            if cell >> v & 1:
+                cell_of[v] = i
+    mine = (list(cells), list(cell_of))
+    oracle = (list(cells), list(cell_of))
+    trace = _refine(rows, *mine, queue)
+    assert trace == _refine_by_counts(rows, *oracle, queue)
+    assert mine == oracle
+    return mine
+
+
+def _random_cells(n, rng):
+    """An ordered partition of ``range(n)`` into at most four nonempty cells."""
+    k = rng.randint(1, min(n, 4))
+    cells = [0] * k
+    for v in range(n):
+        cells[rng.randrange(k)] |= 1 << v
+    return [c for c in cells if c]
+
+
+def test_refinement_matches_per_vertex_counts():
+    # every graph on at most 6 vertices, and the symmetric panel, from random
+    # start partitions and from one individualised vertex of the equitable one
+    rng = random.Random(15)
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    graphs += [g for g, _ in PANEL.values()] + [gen.kneser(9, 3), gen.petersen()]
+    checked = 0
+    for g in graphs:
+        for _ in range(2 if g.n <= 6 else 40):
+            cells = _random_cells(g.n, rng)
+            _same_refinement(g.adj, cells, range(len(cells)))
+            cells, _ = _same_refinement(g.adj, [g.full_mask], [0])
+            v = rng.randrange(g.n)
+            i = next(i for i, c in enumerate(cells) if c >> v & 1)
+            if cells[i] != 1 << v:
+                alone = cells[:i] + [1 << v] + cells[i + 1:] + [cells[i] ^ 1 << v]
+                _same_refinement(g.adj, alone, [i])
+            checked += 1
+    assert checked == 2 * 208 + 40 * 7
 
 def test_node_pins():
     # the root enters one branch of the vertex-transitive 6-cube and of
