@@ -37,11 +37,14 @@ child is tested in O(1) big-int operations.  Four sound cuts prune it:
   OIS ``S + T`` with ``v`` in ``T``, a subset of ``P``, onto one of the
   same size that holds ``u``, which an earlier branch covers.  The group
   comes from ``symmetry.orbits`` started from the partition ``[S, P,
-  rest]``, in a third of the remaining time, and is proved only when the
-  node is about to enter a further branch with ``best < upper``: at the
-  root at once, below it once the node's subtree has spent ``2|E|`` search
-  nodes, about what a proof costs.  A root group with no generator ends
-  the proofs, since every other group is one of its subgroups.
+  rest]``, in a third of the remaining time.  The search keeps the
+  generators its proofs found, and a proof first joins those that fix
+  ``S`` and ``P``, so it matches only the vertices they leave apart.  A
+  group is proved only when the node is about to enter a further branch
+  with ``best < upper``: at the root at once, below it once the node's
+  subtree has spent ``2|E|`` search nodes, about what a proof costs.  A
+  root group with no generator ends the proofs, since every other group
+  is one of its subgroups.
 
 The certified bounds and seeds on ``alpha_od`` form one registry (after
 ``_OisSearch``), one function per fact returning a ``Bound`` with its value
@@ -467,7 +470,9 @@ class _OisSearch:
     Orbit cut (module docstring): the root, and a node whose subtree has
     spent ``threshold`` nodes (2|E|, about a proof's cost), prove before
     their next branch the automorphisms fixing ``s`` and the pool setwise,
-    then skip each branch ``v`` with ``least[v] < v``.
+    then skip each branch ``v`` with ``least[v] < v``.  ``automorphisms``
+    holds the generators the proofs found (the pool of ``orbits``), and
+    ``generators`` counts those of every proved group, pooled or found.
     """
 
     def __init__(self, g: Graph, bad_rows, order, deadline, best_mask, upper):
@@ -487,6 +492,8 @@ class _OisSearch:
         self.threshold = sum(r.bit_count() for r in self.rows)
         self.root = None  # (least vertex of each orbit, generators) at the root
         self.proofs = 0  # nodes whose group was proved
+        self.automorphisms = []  # of ``rows``: the generators the proofs found
+        self.generators = 0  # of the proved groups, pooled or found
         self.skipped = [0, 0]  # branches cut by the orbits: at the root, below it
         self.parity = [0, 0, 0]  # parity closure: nodes pruned, vertices excluded, stops
 
@@ -578,8 +585,10 @@ class _OisSearch:
             elif (least is None and p and self.best < self.upper
                     and (not s or self.nodes - start >= self.threshold)):
                 rest = ((1 << self.n) - 1) ^ s ^ pool
-                least, gens = orbits(rows, _slice(self.deadline), start=[s, pool, rest])
+                least, gens = orbits(rows, _slice(self.deadline), start=[s, pool, rest],
+                                     pool=self.automorphisms)
                 self.proofs += 1
+                self.generators += len(gens)
                 if not s:  # no root generator, none below it: stop proving
                     self.root = least, gens
                     self.threshold = self.threshold if gens else float("inf")
@@ -782,7 +791,9 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
                 least, gens = search.root
                 root = (f"{len(set(least))} orbit(s) from {len(gens)} proved generator(s) at"
                         f" the root, {search.skipped[0]} root branch(es) skipped; ")
-            notes.append(f"orbit cut: {root}groups proved at {search.proofs} node(s),"
+            found = len(search.automorphisms)
+            notes.append(f"orbit cut: {root}groups proved at {search.proofs} node(s) from"
+                         f" {search.generators - found} pooled and {found} found generator(s),"
                          f" {search.skipped[1]} branch(es) below the root skipped")
         pruned, excluded, stops = search.parity
         notes.append(f"parity closure: {pruned} node(s) pruned, {excluded} vertex(es)"

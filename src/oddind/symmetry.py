@@ -13,14 +13,16 @@ refinement (McKay & Piperno, "Practical graph isomorphism, II", JSC 60,
   alone (counts, sizes, cell positions), never on vertex labels, so an
   automorphism maps the refinement of a partition onto the refinement of
   its image, cell by cell, and the two runs write the same trace;
-* ``find_automorphism(rows, a, b)`` individualises ``a`` on one side and
-  ``b`` on the other, refines both, and backtracks over the images of the
-  first non-singleton cell until the cells are singletons; it spends at
-  most ``NODE_CAP`` search nodes;
+* one matcher, ``_follow``, backtracks over the images of the first path
+  of the other side (individualise the least vertex of the first
+  non-singleton cell until the cells are singletons), in at most
+  ``NODE_CAP`` nodes; ``find_automorphism`` and ``orbits`` share it;
 * ``orbits`` joins, by union-find, the cycles of every verified generator:
   the classes are the orbits of the group those generators span.  Given a
   start partition, it proves the group that fixes each start cell
   setwise, as the OIS search needs for the set it chose and its pool.
+  Like nauty, it keeps the generators it proves, in a caller's ``pool``,
+  and first joins the pooled ones that fix each start cell.
 
 If the deadline stops ``orbits`` early, the classes it returns are still
 orbits of a subgroup, so a cut that reads them stays sound.
@@ -33,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 from .graphs import bits_of
 from .results import BudgetExceeded, Deadline
 
-NODE_CAP = 256  # search nodes per target of find_automorphism
+NODE_CAP = 256  # search nodes per match
 
 
 def is_automorphism(rows: Sequence[int], perm: Sequence[int]) -> bool:
@@ -182,65 +184,76 @@ def _individualize(rows, part: Partition, v: int,
     return (cells, cell_of), _refine(rows, cells, cell_of, [i], deadline)
 
 
-def _match(rows, left: Partition, right: Partition, deadline, nodes) -> Optional[List[int]]:
-    """A verified automorphism mapping each cell of ``left`` onto the cell
-    of ``right`` at the same position, or None; ``nodes[0]`` is the
-    remaining node budget."""
+def _first_path(rows, part: Partition, deadline) -> Tuple[list, List[int]]:
+    """Below the equitable ``part``, the position of each level's first
+    non-singleton cell and the trace of individualising its least vertex;
+    and the discrete cells at the end."""
+    path = []
+    while True:
+        cells = part[0]
+        i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if i is None:
+            return path, cells
+        part, trace = _individualize(rows, part, (cells[i] & -cells[i]).bit_length() - 1, deadline)
+        path.append((i, trace))
+
+
+def _follow(rows, path, leaf, right: Partition, deadline, nodes, depth=0) -> Optional[List[int]]:
+    """A verified automorphism mapping the cells of ``leaf``, the end of a
+    first ``path``, onto those of a discrete partition reached from
+    ``right`` along the same traces, or None; ``nodes[0]`` is the budget."""
     nodes[0] -= 1
     if nodes[0] < 0:
         return None
-    cells = left[0]
-    i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
-    if i is None:
+    if depth == len(path):
         perm = [0] * len(rows)
-        for a, b in zip(cells, right[0]):
+        for a, b in zip(leaf, right[0]):
             perm[a.bit_length() - 1] = b.bit_length() - 1
         return perm if is_automorphism(rows, perm) else None
-    x = (cells[i] & -cells[i]).bit_length() - 1
-    child, trace = _individualize(rows, left, x, deadline)
+    i, trace = path[depth]
     for y in bits_of(right[0][i]):
         if nodes[0] < 0:
             break
         image, image_trace = _individualize(rows, right, y, deadline)
         if image_trace == trace:
-            perm = _match(rows, child, image, deadline, nodes)
+            perm = _follow(rows, path, leaf, image, deadline, nodes, depth + 1)
             if perm is not None:
                 return perm
     return None
 
 
-def find_automorphism(rows, a: int, b: int, deadline: Optional[Deadline] = None,
-                      base: Optional[Partition] = None) -> Optional[List[int]]:
+def find_automorphism(rows, a: int, b: int,
+                      deadline: Optional[Deadline] = None) -> Optional[List[int]]:
     """A verified automorphism ``sigma`` with ``sigma[a] == b``, or None when
-    none turns up within ``NODE_CAP`` search nodes.  ``base`` is the equitable
-    partition of the rows, when the caller has it.  Raises
+    none turns up within ``NODE_CAP`` search nodes.  Raises
     ``BudgetExceeded`` once ``deadline`` expires."""
-    if base is None:
-        base = equitable(rows, deadline)
+    base = equitable(rows, deadline)
     left, trace = _individualize(rows, base, a, deadline)
     right, right_trace = _individualize(rows, base, b, deadline)
     if trace != right_trace:
         return None
-    return _match(rows, left, right, deadline, [NODE_CAP])
+    return _follow(rows, *_first_path(rows, left, deadline), right, deadline, [NODE_CAP])
 
 
-def orbits(rows, deadline: Optional[Deadline] = None,
-           start: Optional[Sequence[int]] = None) -> Tuple[List[int], List[List[int]]]:
+def orbits(rows, deadline: Optional[Deadline] = None, start: Optional[Sequence[int]] = None,
+           pool: Optional[List[List[int]]] = None) -> Tuple[List[int], List[List[int]]]:
     """``(least, generators)``: the least vertex of each vertex's orbit under
     the group that the verified ``generators`` span.  With ``start`` (cells
     as for ``equitable``) the group is that of the automorphisms mapping
     each start cell onto itself, and every generator is checked to do so.
 
     A discrete equitable partition proves the group trivial, and nothing
-    more is searched.  Otherwise vertices are visited in increasing order;
-    a vertex that no generator found so far maps onto an earlier one is
-    matched against each earlier orbit of its equitable cell whose
-    individualised trace agrees.  Once ``deadline`` expires the search
-    stops, and the orbits proved so far are returned: they are orbits of a
-    subgroup.
+    more is searched.  Otherwise the automorphisms of ``rows`` in ``pool``
+    that fix each cell join first.  Then vertices are visited in increasing
+    order; one that no generator so far maps onto an earlier one is matched
+    against each earlier orbit of its equitable cell whose individualised
+    trace agrees, and a generator found joins ``pool``.  Once ``deadline``
+    expires the search stops, and the orbits proved so far are returned:
+    they are orbits of a subgroup.
     """
     n = len(rows)
     parent = list(range(n))
+    pool = [] if pool is None else pool
 
     def find(v):
         while parent[v] != v:
@@ -248,36 +261,54 @@ def orbits(rows, deadline: Optional[Deadline] = None,
             v = parent[v]
         return v
 
+    def join(perm):  # join its cycles if it maps each cell onto itself; whether two met
+        if any(cell_of[x] != cell_of[y] for x, y in enumerate(perm)):
+            return False
+        joined = False
+        for x, y in enumerate(perm):
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[max(rx, ry)] = min(rx, ry)
+                joined = True
+        return joined
+
     gens: List[List[int]] = []
     try:
         base = equitable(rows, deadline, start)
-        cell_of = base[1]
-        if len(base[0]) == n:
+        cells, cell_of = base
+        if len(cells) == n:
             return list(range(n)), gens
-        # hashes of the individualised traces: a partition kept per vertex
-        # would hold n^2 cells
-        fingerprints = {}
+        gens = [perm for perm in pool if join(perm)]
+        # hashes of the individualised traces, and the first path below each
+        # orbit matched against: a partition per vertex would hold n^2 cells
+        fingerprints, paths = {}, {}
 
-        def fingerprint(v):
-            if v not in fingerprints:
-                fingerprints[v] = hash(tuple(_individualize(rows, base, v, deadline)[1]))
-            return fingerprints[v]
+        def individualized(v):
+            part, trace = _individualize(rows, base, v, deadline)
+            fingerprints[v] = hash(tuple(trace))
+            return part, trace
 
         for v in range(n):
             if find(v) != v:
                 continue
-            for u in bits_of(base[0][cell_of[v]] & ((1 << v) - 1)):
-                if find(u) != u or fingerprint(u) != fingerprint(v):
+            right = None
+            for u in bits_of(cells[cell_of[v]] & ((1 << v) - 1)):
+                if find(u) != u:
                     continue
-                perm = find_automorphism(rows, v, u, deadline, base=base)
-                if perm is None or any(cell_of[x] != cell_of[y] for x, y in enumerate(perm)):
+                right = right or individualized(v)
+                left = None if u in fingerprints else individualized(u)
+                if fingerprints[u] != fingerprints[v]:
                     continue
-                gens.append(perm)
-                for x, y in enumerate(perm):
-                    rx, ry = find(x), find(y)
-                    if rx != ry:
-                        parent[max(rx, ry)] = min(rx, ry)
-                break
+                if u not in paths:
+                    part, trace = left or _individualize(rows, base, u, deadline)
+                    paths[u] = trace, _first_path(rows, part, deadline)
+                trace, (path, leaf) = paths[u]
+                perm = trace == right[1] and _follow(rows, path, leaf, right[0], deadline,
+                                                     [NODE_CAP])
+                if perm and join(perm):
+                    pool.append(perm)
+                    gens.append(perm)
+                    break
     except BudgetExceeded:
         pass
     return [find(v) for v in range(n)], gens

@@ -15,7 +15,7 @@ import pytest
 from oddind import generators as gen
 from oddind.bounds import random_connected_graph
 from oddind.enumeration import all_graphs, graphs_upto
-from oddind.graphs import square
+from oddind.graphs import bits_of, square
 from oddind.independence import (
     _ois_search,
     alpha,
@@ -96,9 +96,9 @@ def test_discrete_partition_proves_the_group_trivial(monkeypatch):
     assert len(equitable(g.adj)[0]) == g.n
 
     def unexpected(*args, **kwargs):
-        raise AssertionError("find_automorphism called on a discrete partition")
+        raise AssertionError("the matcher called on a discrete partition")
 
-    monkeypatch.setattr("oddind.symmetry.find_automorphism", unexpected)
+    monkeypatch.setattr("oddind.symmetry._follow", unexpected)
     least, gens = orbits(g.adj)
     assert least == list(range(g.n)) and gens == []
 
@@ -208,6 +208,34 @@ def test_refinement_matches_per_vertex_counts():
                 _same_refinement(g.adj, alone, [i])
             checked += 1
     assert checked == 2 * 208 + 40 * 7
+
+
+def test_pooled_orbits_match_unpooled():
+    # one pool per graph, shared by every call on it as in one OIS search;
+    # random start partitions, and vertex stabilisers, whose groups are larger
+    rng = random.Random(17)
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)]
+    graphs += [g for g, _ in PANEL.values()] + [gen.kneser(9, 3), gen.petersen()]
+    reused = 0
+    for g in graphs:
+        pool = []
+        for _ in range(2 if g.n <= 6 else 20):
+            v = rng.randrange(g.n)
+            for cells in (_random_cells(g.n, rng), [1 << v, g.full_mask ^ 1 << v]):
+                before = len(pool)
+                least, _ = orbits(g.adj, start=cells)
+                pooled, gens = orbits(g.adj, start=cells, pool=pool)
+                assert pooled == least
+                found = pool[before:]
+                reused += len(gens) - len(found)
+                assert gens[len(gens) - len(found):] == found
+                assert all(perm in pool[:before] for perm in gens[:len(gens) - len(found)])
+                for perm in gens:
+                    assert is_automorphism(g.adj, perm)
+                    assert all(cell >> perm[x] & 1 for cell in cells for x in bits_of(cell))
+        assert len({tuple(perm) for perm in pool}) == len(pool)
+    assert reused > 0
+
 
 def test_node_pins():
     # the root enters one branch of the vertex-transitive 6-cube and of
