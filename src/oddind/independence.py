@@ -49,8 +49,9 @@ child is tested in O(1) big-int operations.  Four sound cuts prune it:
 The certified bounds and seeds on ``alpha_od`` form one registry (after
 ``_OisSearch``), one function per fact returning a ``Bound`` with its value
 and anchor: the even-regular and common-neighbor upper ends, the max-degree
-lower end, and the square, odd-bipartite and girth-5 seeds.  The solver,
-``bounds.bound_report`` and the paper suite all read it.
+lower end, and the square, independence-witness, odd-bipartite and
+girth-5 seeds.  The solver, ``bounds.bound_report`` and the paper suite
+all read it.
 
 A component is solved by one ladder, cheapest certificate first.  It
 narrows one pair, the best verified seed (replaced only by a strictly
@@ -62,8 +63,9 @@ or the deadline has expired:
    (``greedy_square_mask``), given to ``lower_bound_seed`` with the
    registry seeds, with no clique solve and 0 nodes;
 3. the clique solves: ``alpha`` of the square gives a seed and ``alpha(g)``
-   the upper end, or, on a claw-free graph, ``alpha`` of the square gives
-   both, since there ``alpha_od = alpha(G^2)`` (the paper's theorem);
+   the upper end, and its maximum independent set a seed when that set is
+   an OIS; or, on a claw-free graph, ``alpha`` of the square gives both,
+   since there ``alpha_od = alpha(G^2)`` (the paper's theorem);
 4. the search ``_OisSearch`` above, started from that seed and upper end.
 """
 
@@ -677,6 +679,12 @@ def square_seed(square_mask: int) -> Bound:
                  "alpha-od >= alpha(square)", mask=square_mask)
 
 
+def independence_seed(alpha_mask: int) -> Bound:
+    """A maximum independent set as ``alpha`` returns it: a seed only once
+    ``lower_bound_seed`` has verified that it is an OIS."""
+    return Bound(Fraction(alpha_mask.bit_count()), "independence-witness", mask=alpha_mask)
+
+
 def odd_bipartite_seed(g: Graph) -> Optional[Bound]:
     """The larger bipartition class when every degree is odd; on a regular
     graph it has ``alpha = n/2`` vertices, so it is optimal."""
@@ -718,7 +726,8 @@ def registry_seeds(g: Graph) -> List[Bound]:
 def lower_bound_seed(g: Graph, square_mask: int, seeds: List[Bound]) -> Bound:
     """Largest verified OIS among, in order, a singleton (a set of the
     square too), ``square_seed(square_mask)`` and ``seeds`` (those of
-    ``registry_seeds``); a later one wins only when strictly larger."""
+    ``registry_seeds``, or ``independence_seed``); a later one wins only
+    when strictly larger."""
     if g.n == 0:
         return square_seed(0)
     best = square_seed(1)
@@ -771,16 +780,18 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     if best.value < upper and not deadline.expired():  # the clique solves
         claw_free = _is_claw_free(g, deadline)
         budget = _slice(deadline).remaining()
+        witness = []
         if not claw_free:
             res = alpha(g, budget=budget)
             nodes += res.nodes
             if res.upper < upper:
                 upper, source = res.upper, "independence"
+            witness = [independence_seed(res.witness.mask)]
         res = alpha(sq, budget=budget)
         nodes += res.nodes
         if claw_free and res.upper < upper:  # alpha_od = alpha(G^2)
             upper, source = res.upper, "claw-free-square"
-        best = max(best, lower_bound_seed(g, res.witness.mask, []), key=lambda b: b.value)
+        best = max(best, lower_bound_seed(g, res.witness.mask, witness), key=lambda b: b.value)
     if best.value < upper and not deadline.expired():  # the search
         search = _ois_search(g, sq, deadline, best.mask, upper)
         search.run()

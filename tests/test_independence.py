@@ -32,6 +32,7 @@ from oddind.independence import (
     even_regular_upper,
     girth5_seed,
     greedy_square_mask,
+    independence_seed,
     is_independent,
     is_odd_independent,
     least_upper_bound,
@@ -394,6 +395,24 @@ def test_cheap_rung_agrees_with_full_path():
     # a path that is not regular (P2 is K2)
     assert {"C3", "C6", "C60", "K5", "Q7", "K3,3"} <= set(closed)
     assert not [name for name in closed if name.startswith("P") and name != "P2"]
+
+
+def test_alpha_witness_closes_before_the_search():
+    # alpha's maximum independent set is an OIS here, so it meets alpha(g)
+    for g in (gen.hoffman_singleton(), gen.complete_subdivision(6), gen.kneser(8, 2)):
+        witness = alpha(g).witness.mask
+        assert is_odd_independent(g, witness)
+        res = alpha_od(g)
+        assert res.exact and res.value == witness.bit_count()
+        assert res.note == "closed by independence-witness seed = independence"
+        assert res.nodes == alpha(g).nodes + alpha(square(g)).nodes  # no search
+    # Q6's is not an OIS, so lower_bound_seed keeps the square's set
+    g = gen.hypercube(6)
+    witness = alpha(g).witness.mask
+    sq_mask = alpha(square(g)).witness.mask
+    assert not is_odd_independent(g, witness) and witness.bit_count() > sq_mask.bit_count()
+    seed = lower_bound_seed(g, sq_mask, [independence_seed(witness)])
+    assert seed.anchor == "square-independence" and seed.mask == sq_mask
 
 
 def test_greedy_square_mask_is_maximal_and_static():
