@@ -42,7 +42,7 @@ child is tested in O(1) big-int operations.  Four sound cuts prune it:
   ``S`` and ``P``, so it matches only the vertices they leave apart.  A
   group is proved only when the node is about to enter a further branch
   with ``best < upper``: at the root at once, below it once the node's
-  subtree has spent ``2|E|`` search nodes, about what a proof costs.  A
+  subtree has spent ``|E|/2`` search nodes, about what a proof costs.  A
   root group with no generator ends the proofs, since every other group
   is one of its subgroups.
 
@@ -470,7 +470,7 @@ class _OisSearch:
     where the systems are large.
 
     Orbit cut (module docstring): the root, and a node whose subtree has
-    spent ``threshold`` nodes (2|E|, about a proof's cost), prove before
+    spent ``threshold`` nodes (|E|/2, about a proof's cost), prove before
     their next branch the automorphisms fixing ``s`` and the pool setwise,
     then skip each branch ``v`` with ``least[v] < v``.  ``automorphisms``
     holds the generators the proofs found (the pool of ``orbits``), and
@@ -491,7 +491,7 @@ class _OisSearch:
         self.nodes = 0
         self.work = _WORK_PER_CHECK  # since the last deadline check; full, so node 1 checks
         self.timed_out = False
-        self.threshold = sum(r.bit_count() for r in self.rows)
+        self.threshold = g.edge_count() / 2
         self.root = None  # (least vertex of each orbit, generators) at the root
         self.proofs = 0  # nodes whose group was proved
         self.automorphisms = []  # of ``rows``: the generators the proofs found

@@ -242,14 +242,17 @@ def test_node_pins():
     # KG(9,3), and nodes below it prove their own groups; rc38 has a trivial
     # group, so its search, with its parity counts, is deterministic
     q6 = alpha_od(gen.hypercube(6))
-    assert q6.exact and q6.value == 24 and q6.nodes <= 2_500
+    assert q6.exact and q6.value == 24 and q6.nodes == 1_289
     assert "1 orbit(s)" in q6.note
+    # the later proofs take most of their generators from the search's pool
+    assert "groups proved at 15 node(s) from 50 pooled and 11 found generator(s)" in q6.note
     kg = alpha_od(gen.kneser(9, 3))
-    assert kg.exact and kg.value == 3 and kg.nodes <= 2_000
+    assert kg.exact and kg.value == 3 and kg.nodes == 819
     assert "1 orbit(s)" in kg.note
     rc = alpha_od(random_connected_graph(38, 0.15, 38))
     assert rc.exact and rc.value == 11 and rc.nodes == 572
     assert "from 0 proved generator(s)" in rc.note
+    assert "from 0 pooled and 0 found generator(s)" in rc.note
     # a vertex forced on entry or by a later closing of the node's system
     # stops the sibling loop once it is branched on
     assert ("parity closure: 186 node(s) pruned, 1007 vertex(es) excluded,"
@@ -273,8 +276,8 @@ def _search(g, threshold=None):
 def test_node_cut_matches_root_cut_above_brute_force_cap(name):
     g = {"q6": lambda: gen.hypercube(6), "kg9_3": lambda: gen.kneser(9, 3),
          "sk7": lambda: gen.complete_subdivision(7)}[name]()
-    # the parity closure keeps KG(9,3)'s subtrees below the 2|E| threshold,
-    # so its node cut proves a group at every node that reaches one
+    # KG(9,3)'s node cut proves a group at every node that reaches a second
+    # branch, not only where the subtree spent |E|/2 nodes
     node_cut = _search(g, threshold=0 if name == "kg9_3" else None)
     root_only = _search(g, threshold=float("inf"))
     assert node_cut.best == root_only.best
