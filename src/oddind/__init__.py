@@ -3,7 +3,6 @@
 from .graphs import (
     BadParam,
     Graph,
-    GraphMetrics,
     IndexOutOfRange,
     SelfLoop,
     TooLarge,
@@ -13,7 +12,6 @@ from .graphs import (
     disjoint_union,
     from_edge_list,
     join,
-    metrics,
     square,
     subdivide_all_edges,
     t_copies,

@@ -32,6 +32,7 @@ a timeout or the cap reports.
 
 from __future__ import annotations
 
+import sys
 from math import ceil, floor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -40,6 +41,7 @@ from .independence import (
     _as_mask,
     alpha,
     greedy_square_mask,
+    is_independent,
     is_odd_independent,
     least_upper_bound,
     lower_bound_seed,
@@ -70,9 +72,7 @@ class Coloring:
         return len(set(self.colors))
 
     def classes(self) -> List[int]:
-        masks = {}
-        for v, c in enumerate(self.colors):
-            masks[c] = masks.get(c, 0) | (1 << v)
+        masks = _class_masks(self.colors)
         return [masks[c] for c in sorted(masks)]
 
     def __eq__(self, other):
@@ -82,31 +82,31 @@ class Coloring:
         return f"Coloring({list(self.colors)!r})"
 
 
-def _as_colors(g: Graph, c) -> Tuple[int, ...]:
+def _class_masks(colors) -> dict:
+    """Color -> mask of its class; any integer colors."""
+    masks = {}
+    for v, c in enumerate(colors):
+        masks[c] = masks.get(c, 0) | (1 << v)
+    return masks
+
+
+def _as_classes(g: Graph, c) -> Iterable[int]:
     colors = tuple(c.colors if isinstance(c, Coloring) else c)
     if len(colors) != g.n:
         raise ValueError(f"coloring has {len(colors)} entries for {g.n} vertices")
-    return colors
+    return _class_masks(colors).values()
 
 
 def is_proper_coloring(g: Graph, c) -> bool:
-    colors = _as_colors(g, c)
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    """Every color class is independent."""
+    return all(is_independent(g, m) for m in _as_classes(g, c))
 
 
 def is_strong_odd_coloring(g: Graph, c) -> bool:
-    """Proper, and every color present in an open neighborhood appears
-    there an odd number of times."""
-    colors = _as_colors(g, c)
-    if not is_proper_coloring(g, colors):
-        return False
-    for v in range(g.n):
-        counts = {}
-        for u in bits_of(g.adj[v]):
-            counts[colors[u]] = counts.get(colors[u], 0) + 1
-        if any(cnt % 2 == 0 for cnt in counts.values()):
-            return False
-    return True
+    """Every color class is an odd independent set: the coloring is proper,
+    and every color present in an open neighborhood appears there an odd
+    number of times."""
+    return all(is_odd_independent(g, m) for m in _as_classes(g, c))
 
 
 # -- exact chromatic number (used on squares) ----------------------------------
@@ -183,6 +183,7 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline, nodes: List[int]):
 def chromatic_number(g: Graph, budget: Optional[float] = None) -> SolveResult:
     """Exact chromatic number by class backtracking per component."""
     deadline = Deadline(default_budget() if budget is None else budget)
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
     if g.n == 0:
         return SolveResult(0, Coloring(()), "backtracking")
     total = [0] * g.n
@@ -338,18 +339,17 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
     """Exact strong odd chromatic number with a witness coloring.
 
     Components are solved independently (classes merge across components),
-    so the answer is the largest ``k`` proven necessary in any component;
-    on a timeout that is the lower end of the interval.  A component the
-    cover does not solve (its cap or the deadline) is coloured by its own
-    ``greedy_ois_lower`` seed plus singletons, and the solved ones keep
-    their classes, so the upper end is the most classes any component uses.
+    so the lower end is the largest ``k`` proven necessary in any component.
+    A component the cover does not solve (its cap or the deadline) is
+    coloured by its own ``greedy_ois_lower`` seed plus singletons, and the
+    solved ones keep their classes, so the upper end is the most classes
+    any component uses.  The result is exact when the two ends meet.
     """
     deadline = Deadline(default_budget() if budget is None else budget)
     if g.n == 0:
         return SolveResult(0, Coloring(()), "ois-partition")
     colors = [0] * g.n
     lower = upper = nodes = 0
-    exact = True
     notes = {}  # distinct component notes, in order
     for comp in g.component_masks():
         sub, keep = g.induced(comp)
@@ -357,7 +357,6 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
         try:
             classes = cover.solve()
         except BudgetExceeded:
-            exact = False
             seed = greedy_ois_lower(sub, budget=max(deadline.remaining(), 0.0)).mask
             classes = [seed] + [1 << v for v in bits_of(sub.full_mask ^ seed)]
         lower = max(lower, cover.lower)
@@ -369,9 +368,10 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
                 colors[keep[v]] = ci
     witness = Coloring(colors)
     assert is_strong_odd_coloring(g, witness)
+    exact = lower == upper
     if not exact:
         notes.setdefault("budget exhausted")
-    return SolveResult(lower if exact else upper, witness, "ois-partition", exact=exact,
+    return SolveResult(upper, witness, "ois-partition", exact=exact,
                        lower=lower, upper=upper, nodes=nodes, millis=deadline.elapsed_ms(),
                        note="; ".join(n for n in notes if n))
 
@@ -435,17 +435,20 @@ def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
 
 def greedy_ois_lower(g: Graph, budget: Optional[float] = None) -> VertexSet:
     """Cheap verified OIS used as a lower-bound seed: ``lower_bound_seed``
-    given ``greedy_square_mask`` and the registry seeds, optimal when it
-    meets the least registry upper end or ``budget`` is spent (then no
+    given ``greedy_square_mask`` and the registry seeds, kept as is when
+    ``budget`` is spent or it meets the least registry upper end (then no
     clique solve runs), else replaced by the independent set of the square
     solved within ``budget`` (at most 10 s) only when that one is strictly
     larger, as in ``alpha_od``: a timed-out solve may return less than the
     greedy set."""
     if g.n == 0:
         return VertexSet(0)
-    sq, seeds, least = square(g), registry_seeds(g), least_upper_bound(g)
-    seed = lower_bound_seed(g, greedy_square_mask(sq), seeds)
-    if (least is None or seed.value < floor(least.value)) and (budget is None or budget > 0):
+    sq = square(g)
+    seed = lower_bound_seed(g, greedy_square_mask(sq), registry_seeds(g))
+    if budget is not None and budget <= 0:
+        return VertexSet(g.n, seed.mask)
+    least = least_upper_bound(g)
+    if least is None or seed.value < floor(least.value):
         res = alpha(sq, budget=10.0 if budget is None else min(10.0, budget))
         seed = max(seed, lower_bound_seed(g, res.witness.mask, []), key=lambda b: b.value)
     return VertexSet(g.n, seed.mask)

@@ -12,8 +12,6 @@ never change the id scheme.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import inf
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -218,20 +216,6 @@ class VertexSet:
         return f"VertexSet({list(self.ids())!r} of {self.n})"
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
-    max_degree: int
-    min_degree: int
-    average_degree: Fraction
-    girth: float  # int, or math.inf for forests
-    diameter: float  # int, or math.inf for disconnected graphs
-    is_bipartite: bool
-    bipartition: Optional[Tuple[VertexSet, VertexSet]]
-    is_triangle_free: bool
-    is_claw_free: bool
-    is_regular: bool
-
-
 # -- construction ------------------------------------------------------------
 
 
@@ -352,31 +336,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     return Graph(n, rows, labels)
 
 
-# -- metrics ------------------------------------------------------------------
-
-
-def _girth(g: Graph) -> float:
-    best = inf
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        parent = [-1] * g.n
-        queue = [s]
-        while queue:
-            nxt = []
-            for v in queue:
-                if 2 * dist[v] >= best:
-                    break  # no shorter cycle can be closed from this level on
-                for u in bits_of(g.adj[v]):
-                    if dist[u] == -1:
-                        dist[u] = dist[v] + 1
-                        parent[u] = v
-                        nxt.append(u)
-                    elif u != parent[v]:
-                        # closes a cycle through the BFS tree rooted at s
-                        best = min(best, dist[v] + dist[u] + 1)
-            queue = nxt
-    return best
+# -- structure tests ---------------------------------------------------------
 
 
 def _bipartition(g: Graph) -> Optional[Tuple[int, int]]:
@@ -440,8 +400,7 @@ def girth_at_least_5(g: Graph) -> bool:
     For each vertex ``u`` the rows ``N(w) - u`` of its neighbors ``w`` are
     accumulated: a bit inside ``N(u)`` closes a triangle, and a bit seen
     twice is a vertex with two common neighbors with ``u``, a 4-cycle.  That
-    is a few big-int operations per edge end; ``metrics`` finds the exact
-    girth by a BFS from every vertex.
+    is a few big-int operations per edge end.
     """
     adj = g.adj
     for u in range(g.n):
@@ -469,24 +428,3 @@ def diameter(g: Graph) -> float:
             return inf
         best = max(best, max(dist))
     return best
-
-
-def metrics(g: Graph) -> GraphMetrics:
-    """Exact structural metrics; all-pairs BFS for the diameter."""
-    if g.n == 0:
-        return GraphMetrics(0, 0, Fraction(0), inf, 0, True,
-                            (VertexSet(0), VertexSet(0)), True, True, True)
-    degs = [g.degree(v) for v in range(g.n)]
-    parts = _bipartition(g)
-    return GraphMetrics(
-        max_degree=max(degs),
-        min_degree=min(degs),
-        average_degree=Fraction(sum(degs), g.n),
-        girth=_girth(g),
-        diameter=diameter(g),
-        is_bipartite=parts is not None,
-        bipartition=None if parts is None else (VertexSet(g.n, parts[0]), VertexSet(g.n, parts[1])),
-        is_triangle_free=is_triangle_free(g),
-        is_claw_free=_is_claw_free(g),
-        is_regular=max(degs) == min(degs),
-    )

@@ -16,7 +16,7 @@ refinement (McKay & Piperno, "Practical graph isomorphism, II", JSC 60,
 * one matcher, ``_follow``, backtracks over the images of the first path
   of the other side (individualise the least vertex of the first
   non-singleton cell until the cells are singletons), in at most
-  ``NODE_CAP`` nodes; ``find_automorphism`` and ``orbits`` share it;
+  ``NODE_CAP`` nodes; ``orbits`` calls it;
 * ``orbits`` joins, by union-find, the cycles of every verified generator:
   the classes are the orbits of the group those generators span.  Given a
   start partition, it proves the group that fixes each start cell
@@ -220,19 +220,6 @@ def _follow(rows, path, leaf, right: Partition, deadline, nodes, depth=0) -> Opt
             if perm is not None:
                 return perm
     return None
-
-
-def find_automorphism(rows, a: int, b: int,
-                      deadline: Optional[Deadline] = None) -> Optional[List[int]]:
-    """A verified automorphism ``sigma`` with ``sigma[a] == b``, or None when
-    none turns up within ``NODE_CAP`` search nodes.  Raises
-    ``BudgetExceeded`` once ``deadline`` expires."""
-    base = equitable(rows, deadline)
-    left, trace = _individualize(rows, base, a, deadline)
-    right, right_trace = _individualize(rows, base, b, deadline)
-    if trace != right_trace:
-        return None
-    return _follow(rows, *_first_path(rows, left, deadline), right, deadline, [NODE_CAP])
 
 
 def orbits(rows, deadline: Optional[Deadline] = None, start: Optional[Sequence[int]] = None,

@@ -1,6 +1,7 @@
 import time
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from oddind import generators as gen
@@ -15,7 +16,7 @@ from oddind.bounds import (
     verify_cotrianglefree,
 )
 from oddind.coloring import chi_square
-from oddind.graphs import BadParam, complement, disjoint_union, metrics
+from oddind.graphs import BadParam, _bipartition, complement, disjoint_union, is_triangle_free
 from oddind.independence import alpha_od_bounded
 
 
@@ -204,8 +205,9 @@ def test_cubic_census_computed_truth():
     hits = cubic_census(8)
     assert len(hits) == 1
     g = hits[0]
-    met = metrics(g)
-    assert met.is_triangle_free and not met.is_bipartite and met.girth == 4
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    assert is_triangle_free(g) and _bipartition(g) is None and nx.girth(h) == 4
     from oddind.independence import alpha
 
     assert alpha(g).value == 3  # the Ramsey-critical graph: no independent 4-set

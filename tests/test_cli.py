@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -77,6 +78,33 @@ def test_compute_chi_so_star_closes_from_certified_ends(capsys, tmp_path):
                             " (no cover search)")
 
 
+def test_compute_chi_so_exact_when_the_ends_meet(capsys, tmp_path):
+    # a spent budget skips the cover, and the clique bound 30 meets the 30
+    # classes of the fallback seed plus singletons
+    path = tmp_path / "k30.g6"
+    path.write_text(to_graph6(gen.complete(30)) + "\n")
+    code, out, _ = run(capsys, "compute", "chi-so", str(path), "--json", "--budget", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 30 and data["exact"] is True
+    assert (data["lower"], data["upper"]) == (30, 30) and len(set(data["witness"])) == 30
+
+
+def test_compute_chi_sq_of_a_long_cycle(capsys, tmp_path):
+    # the colouring search recurses once per vertex of the square
+    path = tmp_path / "c2000.g6"
+    path.write_text(to_graph6(gen.cycle(2000)) + "\n")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, _ = run(capsys, "compute", "chi-sq", str(path), "--json")
+    finally:
+        sys.setrecursionlimit(old)
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 4 and data["exact"] is True
+
+
 def test_verify_set_exit_codes(capsys, tmp_path):
     path = tmp_path / "p.g6"
     path.write_text(to_graph6(gen.petersen()) + "\n")
@@ -96,6 +124,11 @@ def test_verify_coloring(capsys, tmp_path):
     path2.write_text(to_graph6(gen.cycle(4)) + "\n")
     code, out, _ = run(capsys, "verify-coloring", str(path2), "0", "1", "0", "1")
     assert code == 1
+    # any integer colours, negative ones too
+    code, out, _ = run(capsys, "verify-coloring", str(path),
+                       "-7", "-7", "-7", "40", "40", "40", "--json")
+    data = json.loads(out)
+    assert code == 0 and data == {"proper": True, "strong_odd": True, "colors_used": 2}
 
 
 def test_bounds_exit(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -21,7 +22,14 @@ from oddind.coloring import (
     is_proper_coloring,
     is_strong_odd_coloring,
 )
-from oddind.graphs import complement, disjoint_union, from_edge_list, square, t_copies
+from oddind.graphs import (
+    _is_claw_free,
+    complement,
+    disjoint_union,
+    from_edge_list,
+    square,
+    t_copies,
+)
 from oddind.independence import (
     alpha_od_bruteforce,
     is_odd_independent,
@@ -31,22 +39,73 @@ from oddind.independence import (
 from oddind.results import Deadline
 
 
+def proper_by_edges(g, colors) -> bool:
+    """The definition: no edge joins two vertices of one color."""
+    return all(colors[u] != colors[v] for u, v in g.edges())
+
+
+def strong_odd_by_counts(g, colors) -> bool:
+    """The definition: proper, and every color present in an open
+    neighborhood appears there an odd number of times."""
+    if not proper_by_edges(g, colors):
+        return False
+    for v in range(g.n):
+        counts = {}
+        for u in g.neighbors(v):
+            counts[colors[u]] = counts.get(colors[u], 0) + 1
+        if any(cnt % 2 == 0 for cnt in counts.values()):
+            return False
+    return True
+
+
 def brute_chromatic(g, strong_odd=False) -> int:
-    """Oracle: try every assignment with k colors, smallest k first."""
+    """Oracle: try every assignment with k colors, smallest k first, against
+    the per-vertex definition rather than the class-by-class verifiers."""
     from itertools import product
 
     if g.n == 0:
         return 0
+    check = strong_odd_by_counts if strong_odd else proper_by_edges
     for k in range(1, g.n + 1):
         for colors in product(range(k), repeat=g.n):
-            if len(set(colors)) != k:
-                continue
-            if strong_odd:
-                if is_strong_odd_coloring(g, colors):
-                    return k
-            elif is_proper_coloring(g, colors):
+            if len(set(colors)) == k and check(g, colors):
                 return k
     raise AssertionError
+
+
+def test_verifiers_match_the_definition_to_order_6():
+    # every assignment of at most 3 colors to every graph of order 1..6
+    from itertools import product
+
+    from oddind.enumeration import graphs_upto
+
+    count = strong = 0
+    for g in graphs_upto(6):
+        for colors in product(range(3), repeat=g.n):
+            assert is_proper_coloring(g, colors) == proper_by_edges(g, colors), (g.adj, colors)
+            want = strong_odd_by_counts(g, colors)
+            assert is_strong_odd_coloring(g, colors) == want, (g.adj, colors)
+            count += 1
+            strong += want
+    assert count == 123006 and 0 < strong < count
+
+
+def test_verifiers_match_the_definition_on_raw_color_values():
+    # negative, repeated and sparse colour values, as `verify-coloring` passes them
+    rng = random.Random(20261019)
+    strong = 0
+    for trial in range(400):
+        n = rng.randint(1, 12)
+        g = _gnp(n, rng.random(), trial)
+        palette = rng.sample(range(-50, 1000), rng.randint(1, n))
+        colors = [rng.choice(palette) for _ in range(n)]
+        if trial % 4 == 0:  # each vertex its own colour: always strong odd
+            colors = rng.sample(range(-10**6, 10**6), n)
+        assert is_proper_coloring(g, colors) == proper_by_edges(g, colors), (g.adj, colors)
+        want = strong_odd_by_counts(g, colors)
+        assert is_strong_odd_coloring(g, colors) == want, (g.adj, colors)
+        strong += want
+    assert 100 <= strong < 400
 
 
 def test_verifier_examples():
@@ -72,6 +131,19 @@ def test_coloring_type():
     assert c.classes() == [0b101, 0b010]
     with pytest.raises(ValueError):
         Coloring([-1])
+
+
+def test_chi_square_of_a_long_cycle():
+    # the colouring search recurses once per vertex of the square; from the
+    # interpreter's default limit it must still finish
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = chi_square(gen.cycle(2000))
+    finally:
+        sys.setrecursionlimit(old)
+    assert res.exact and res.value == 4
+    assert proper_by_edges(square(gen.cycle(2000)), res.witness.colors)
 
 
 def test_chromatic_number():
@@ -286,6 +358,17 @@ def test_chi_so_timeout_keeps_proven_lower_bound():
     assert not res.exact and res.lower == 3 and res.upper >= 6
 
 
+def test_chi_so_exact_when_the_ends_meet_after_a_fallback():
+    # a spent budget skips every cover, yet the clique bound n meets the
+    # n classes of the fallback seed plus singletons
+    for n in (30, 300):
+        g = gen.complete(n)
+        res = chi_so_exact(g, budget=0)
+        assert res.exact and res.value == res.lower == res.upper == n
+        assert is_strong_odd_coloring(g, res.witness) and res.witness.num_colors == n
+        assert "budget exhausted" not in res.note
+
+
 def test_chi_so_timeout_keeps_the_solved_components():
     # C_5 closes at 5 and keeps its classes; C_30 passes the cover's cap and
     # is coloured from its own seed (10 vertices, so 21 classes), and the
@@ -342,10 +425,9 @@ def test_cube_chi_so():
 
 def test_clawfree_coloring_equality_small():
     from oddind.enumeration import graphs_upto
-    from oddind.graphs import metrics
 
     for g in graphs_upto(6):
-        if metrics(g).is_claw_free:
+        if _is_claw_free(g):
             assert chi_so_exact(g).value == chi_square(g).value
 
 

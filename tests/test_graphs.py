@@ -1,7 +1,7 @@
 import random
-from fractions import Fraction
 from math import inf
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +19,9 @@ from oddind.graphs import (
     _bipartition,
     _is_claw_free,
     from_edge_list,
+    diameter,
     girth_at_least_5,
     join,
-    metrics,
     square,
     subdivide_all_edges,
     t_copies,
@@ -114,17 +114,25 @@ def test_subdivision_counts():
     assert sorted(s.degree(v) for v in range(s.n)) == [2] * 6 + [3] * 4
 
 
+def _nx(g):
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    return h
+
+
 def test_metrics_named():
-    m = metrics(gen.petersen())
-    assert (m.girth, m.diameter, m.is_regular, m.max_degree) == (5, 2, True, 3)
-    m = metrics(gen.hoffman_singleton())
-    assert (m.girth, m.diameter, m.max_degree, m.min_degree) == (5, 2, 7, 7)
-    m = metrics(gen.empty(3))
-    assert m.girth == inf and m.diameter == inf
-    m = metrics(gen.complete_bipartite(2, 3))
-    assert m.is_bipartite and m.girth == 4 and m.diameter == 2
-    a, b = m.bipartition
-    assert len(a) + len(b) == 5
+    # exact girth from networkx, an independent oracle
+    p = gen.petersen()
+    assert (nx.girth(_nx(p)), diameter(p), set(p.degree_sequence())) == (5, 2, {3})
+    hs = gen.hoffman_singleton()
+    assert (nx.girth(_nx(hs)), diameter(hs), set(hs.degree_sequence())) == (5, 2, {7})
+    assert girth_at_least_5(p) and girth_at_least_5(hs)
+    e3 = gen.empty(3)
+    assert nx.girth(_nx(e3)) == inf and diameter(e3) == inf
+    k23 = gen.complete_bipartite(2, 3)
+    assert (nx.girth(_nx(k23)), diameter(k23)) == (4, 2) and not girth_at_least_5(k23)
+    a, b = _bipartition(k23)
+    assert a.bit_count() + b.bit_count() == 5 and a & b == 0
 
 
 def _structure_panel():
@@ -142,24 +150,30 @@ def _structure_panel():
     yield disjoint_union(gen.star(5), disjoint_union(gen.path(7), gen.empty(2)))
 
 
+def _is_bipartition(g, a, b):
+    return a | b == g.full_mask and a & b == 0 and all(
+        (a >> u & 1) != (a >> v & 1) for u, v in g.edges())
+
+
 def test_girth5_and_bipartition_agree_with_metrics():
+    # against networkx's exact girth and bipartiteness test
     count = 0
     for g in _structure_panel():
-        m = metrics(g)
-        assert girth_at_least_5(g) == (m.girth >= 5), g.adj
+        h = _nx(g)
+        assert girth_at_least_5(g) == (nx.girth(h) >= 5), g.adj
         parts = _bipartition(g)
-        assert (parts is not None) == m.is_bipartite, g.adj
+        assert (parts is not None) == nx.is_bipartite(h), g.adj
         if parts is not None:
-            assert parts == (m.bipartition[0].mask, m.bipartition[1].mask)
+            assert _is_bipartition(g, *parts), g.adj
         count += 1
     assert count == 1252 + 3 + 4 + 7 + 1
 
 
 def test_claw_detection():
-    assert not metrics(gen.star(4)).is_claw_free
-    assert metrics(gen.kbox(3, 3)).is_claw_free
-    assert metrics(gen.line_graph(gen.petersen())).is_claw_free
-    assert not metrics(gen.petersen()).is_claw_free
+    assert not _is_claw_free(gen.star(4))
+    assert _is_claw_free(gen.kbox(3, 3))
+    assert _is_claw_free(gen.line_graph(gen.petersen()))
+    assert not _is_claw_free(gen.petersen())
 
 
 def _claw_free_by_triples(g):
@@ -221,17 +235,11 @@ def test_product_degree_law(g, h):
 @given(graphs())
 @settings(max_examples=100, deadline=None)
 def test_metrics_consistency(g):
-    m = metrics(g)
-    # a graph is a forest iff it has no cycle iff girth is infinite
     comps = len(g.component_masks())
-    is_forest = g.edge_count() == g.n - comps
-    assert (m.girth == inf) == is_forest
-    assert (m.diameter == inf) == (comps > 1 and g.n > 1)
-    if m.is_bipartite:
-        a, b = m.bipartition
-        assert a.mask | b.mask == g.full_mask and a.mask & b.mask == 0
-        for u, v in g.edges():
-            assert (u in a) != (v in a)
+    assert (diameter(g) == inf) == (comps > 1 and g.n > 1)
+    parts = _bipartition(g)
+    if parts is not None:
+        assert _is_bipartition(g, *parts)
 
 
 def test_rejects_oversized():

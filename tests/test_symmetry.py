@@ -27,7 +27,7 @@ from oddind.independence import (
     upper_bounds,
 )
 from oddind.results import Deadline
-from oddind.symmetry import _refine, equitable, find_automorphism, is_automorphism, orbits
+from oddind.symmetry import _refine, equitable, is_automorphism, orbits
 
 PANEL = {
     "q6": (gen.hypercube(6), 1),
@@ -52,8 +52,8 @@ def test_orbit_counts_and_generators(name):
 
 def test_tampered_permutation_is_rejected():
     g = gen.hypercube(6)
-    perm = find_automorphism(g.adj, 0, 5)
-    assert perm is not None and perm[0] == 5 and is_automorphism(g.adj, perm)
+    perm = orbits(g.adj)[1][0]
+    assert is_automorphism(g.adj, perm) and perm != list(range(g.n))
     bad = list(perm)
     bad[0], bad[1] = bad[1], bad[0]  # two images swapped
     assert not is_automorphism(g.adj, bad)
@@ -65,7 +65,9 @@ def test_no_automorphism_across_orbits():
     g = gen.complete_subdivision(6)
     # vertex 0 has degree 5, a subdivision vertex degree 2
     sub = next(v for v in range(g.n) if g.degree(v) == 2)
-    assert find_automorphism(g.adj, 0, sub) is None
+    least, gens = orbits(g.adj)
+    assert least[0] != least[sub] and gens
+    assert all(perm[0] != sub for perm in gens)
     cells, cell_of = equitable(g.adj)
     assert cell_of[0] != cell_of[sub] and len(cells) == 2
 
