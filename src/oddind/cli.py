@@ -200,7 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # argparse leaves over the ids or colours after an option: they
+        # continue the list, in order; anything else is a usage error
+        listed = {"verify-set": "ids", "verify-coloring": "colors"}.get(args.verb)
+        if extra and not (listed and all(x.removeprefix("-").isdigit() for x in extra)):
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        if listed:
+            setattr(args, listed, getattr(args, listed) + extra)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

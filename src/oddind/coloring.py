@@ -27,19 +27,20 @@ The upper end is ``n - |S| + 1`` for one verified seed ``S`` (the greedy
 square set or a registry seed, as in ``alpha_od``'s greedy rung).  When
 they meet, the component closes with ``S`` plus singleton classes and 0
 nodes; otherwise the cover starts from that lower end, which is also what
-a timeout or the cap reports.
+a timeout or the cap reports.  A component the cover does not solve is
+coloured by the witness of ``alpha_od``'s ladder on it plus singletons.
 """
 
 from __future__ import annotations
 
 import sys
-from math import ceil, floor
+from math import ceil
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, VertexSet, _complement_rows, bits_of, from_edge_list, square
+from .graphs import Graph, _complement_rows, bits_of, from_edge_list, square
 from .independence import (
     _as_mask,
-    alpha,
+    _component_alpha_od,
     greedy_square_mask,
     is_independent,
     is_odd_independent,
@@ -341,11 +342,13 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
     Components are solved independently (classes merge across components),
     so the lower end is the largest ``k`` proven necessary in any component.
     A component the cover does not solve (its cap or the deadline) is
-    coloured by its own ``greedy_ois_lower`` seed plus singletons, and the
-    solved ones keep their classes, so the upper end is the most classes
-    any component uses.  The result is exact when the two ends meet.
+    coloured by the witness of ``alpha_od``'s ladder on it, under what is
+    left of the budget, plus singletons; the solved ones keep their
+    classes, so the upper end is the most classes any component uses.  The
+    result is exact when the two ends meet.
     """
     deadline = Deadline(default_budget() if budget is None else budget)
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
     if g.n == 0:
         return SolveResult(0, Coloring(()), "ois-partition")
     colors = [0] * g.n
@@ -357,7 +360,7 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
         try:
             classes = cover.solve()
         except BudgetExceeded:
-            seed = greedy_ois_lower(sub, budget=max(deadline.remaining(), 0.0)).mask
+            seed = _component_alpha_od(sub, deadline).witness.mask
             classes = [seed] + [1 << v for v in bits_of(sub.full_mask ^ seed)]
         lower = max(lower, cover.lower)
         upper = max(upper, len(classes))
@@ -400,15 +403,13 @@ def chi_so_alpha2(g: Graph) -> SolveResult:
     return SolveResult(k, witness, "alpha2-matching")
 
 
-def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
+def chi_so_upper_from_partition(g: Graph, classes: Sequence):
     """Valid strong odd coloring from disjoint OIS classes plus singletons.
 
-    With the default single best-known OIS this gives the
-    ``n - |S| + 1`` upper bound; callers may supply any family of disjoint
-    OIS classes (for instance rotation schemes) to do better.
+    One OIS ``S`` (say ``alpha_od(g).witness``) gives the ``n - |S| + 1``
+    upper bound; a family of disjoint OIS classes (for instance a rotation
+    scheme) can do better.
     """
-    if classes is None:
-        classes = [greedy_ois_lower(g)] if g.n else []
     masks = []
     seen = 0
     for s in classes:
@@ -419,39 +420,14 @@ def chi_so_upper_from_partition(g: Graph, classes: Optional[Sequence] = None):
             raise ValueError("a supplied class is not odd independent")
         seen |= mask
         masks.append(mask)
-    colors = [-1] * g.n
+    masks += [1 << v for v in bits_of(g.full_mask ^ seen)]
+    colors = [0] * g.n
     for i, mask in enumerate(masks):
         for v in bits_of(mask):
             colors[v] = i
-    nxt = len(masks)
-    for v in range(g.n):
-        if colors[v] == -1:
-            colors[v] = nxt
-            nxt += 1
     witness = Coloring(colors)
     assert is_strong_odd_coloring(g, witness)
-    return nxt, witness
-
-
-def greedy_ois_lower(g: Graph, budget: Optional[float] = None) -> VertexSet:
-    """Cheap verified OIS used as a lower-bound seed: ``lower_bound_seed``
-    given ``greedy_square_mask`` and the registry seeds, kept as is when
-    ``budget`` is spent or it meets the least registry upper end (then no
-    clique solve runs), else replaced by the independent set of the square
-    solved within ``budget`` (at most 10 s) only when that one is strictly
-    larger, as in ``alpha_od``: a timed-out solve may return less than the
-    greedy set."""
-    if g.n == 0:
-        return VertexSet(0)
-    sq = square(g)
-    seed = lower_bound_seed(g, greedy_square_mask(sq), registry_seeds(g))
-    if budget is not None and budget <= 0:
-        return VertexSet(g.n, seed.mask)
-    least = least_upper_bound(g)
-    if least is None or seed.value < floor(least.value):
-        res = alpha(sq, budget=10.0 if budget is None else min(10.0, budget))
-        seed = max(seed, lower_bound_seed(g, res.witness.mask, []), key=lambda b: b.value)
-    return VertexSet(g.n, seed.mask)
+    return len(masks), witness
 
 
 def cube_chi_so(d: int) -> Tuple[int, Coloring]:

@@ -51,6 +51,9 @@ class Graph:
 
     Instances are immutable after construction; all operations return new
     graphs, so sharing across threads is safe.
+
+    The constructor checks every row; ``_derived`` skips the checks for
+    rows derived from a valid graph (``square``), which cannot fail them.
     """
 
     __slots__ = ("n", "adj", "labels", "_hash")
@@ -77,6 +80,14 @@ class Graph:
         if self.labels is not None and len(self.labels) != n:
             raise BadParam("labels length must equal vertex count")
         self._hash = hash((n, rows))
+
+    @classmethod
+    def _derived(cls, n: int, rows: Sequence[int], labels: Optional[Tuple[str, ...]]) -> "Graph":
+        """A graph from rows derived from a valid graph, with no check."""
+        g = object.__new__(cls)
+        g.n, g.adj, g.labels = n, tuple(rows), labels
+        g._hash = hash((n, g.adj))
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -161,7 +172,10 @@ class Graph:
         return dist
 
     def induced(self, mask: int) -> Tuple["Graph", Tuple[int, ...]]:
-        """Subgraph induced by ``mask``; also returns old ids in new order."""
+        """Subgraph induced by ``mask``; also returns old ids in new order.
+        The whole vertex set gives ``self``, with no rebuild."""
+        if mask == self.full_mask:
+            return self, tuple(range(self.n))
         keep = tuple(bits_of(mask))
         pos = {v: i for i, v in enumerate(keep)}
         rows = []
@@ -258,7 +272,7 @@ def square(g: Graph) -> Graph:
         for u in bits_of(g.adj[v]):
             row |= g.adj[u]
         rows.append(row & ~(1 << v))
-    return Graph(g.n, rows, g.labels)
+    return Graph._derived(g.n, rows, g.labels)
 
 
 def subdivide_all_edges(g: Graph) -> Graph:

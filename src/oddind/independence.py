@@ -56,12 +56,13 @@ all read it.
 A component is solved by one ladder, cheapest certificate first.  It
 narrows one pair, the best verified seed (replaced only by a strictly
 larger one) and the upper end, and stops at the first rung where they meet
-or the deadline has expired:
+or, past the greedy rung, the deadline has expired:
 
 1. the registry seeds, and the least registry upper end (else the order);
 2. the greedy rung: a static-order greedy independent set of the square
    (``greedy_square_mask``), given to ``lower_bound_seed`` with the
-   registry seeds, with no clique solve and 0 nodes;
+   registry seeds, with no clique solve and 0 nodes, on a spent budget too
+   (``chi_so_exact``'s fallback colouring reads this ladder's witness);
 3. the clique solves: ``alpha`` of the square gives a seed and ``alpha(g)``
    the upper end, and its maximum independent set a seed when that set is
    an OIS; or, on a claw-free graph, ``alpha`` of the square gives both,
@@ -774,7 +775,7 @@ def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
     upper, source = (floor(least.value), least.anchor) if least else (g.n, "order")
     best = lower_bound_seed(g, 0, seeds)
     nodes, notes, search = 0, [], None
-    if best.value < upper and not deadline.expired():  # the greedy rung
+    if best.value < upper:  # the greedy rung, also on a spent budget
         sq = square(g)
         best = lower_bound_seed(g, greedy_square_mask(sq), seeds)
     if best.value < upper and not deadline.expired():  # the clique solves

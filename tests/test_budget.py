@@ -79,7 +79,9 @@ def _c5_cubed():
 @pytest.mark.parametrize("name", ["q10", "c5c5c5"])
 def test_alpha_od_spent_budget_does_no_fixed_work(name):
     # a spent budget used to build the square and run both alpha solves to
-    # their first deadline check: 0.3-0.5 s on Q10, 0.1-0.2 s on C5^3
+    # their first deadline check: 0.3-0.5 s on Q10, 0.1-0.2 s on C5^3.  Now
+    # only the greedy rung runs: the square's rows, unchecked, and one
+    # greedy pass, with no clique solve and no search
     g = gen.hypercube(10) if name == "q10" else _c5_cubed()
     res, took = _timed(lambda: alpha_od(g, budget=0))
     assert took <= SLACK, took
@@ -109,6 +111,16 @@ def test_chi_so_spent_budget_keeps_the_structural_lower_end():
     assert took <= SLACK, took
     assert not res.exact and 3 <= res.lower <= res.upper
     assert is_strong_odd_coloring(g, res.witness)
+
+
+def test_chi_so_star_4095_spent_budget():
+    # the fallback reads alpha_od's greedy rung: square(star(4095)) is
+    # K_4095, whose edge-by-edge symmetry check alone took about 11 s
+    g = gen.star(4095)
+    res, took = _timed(lambda: chi_so_exact(g, budget=0))
+    assert took <= SLACK, took
+    assert res.exact and res.value == 3
+    assert is_strong_odd_coloring(g, res.witness) and res.witness.num_colors == 3
 
 
 def test_cli_bounds_share_one_budget(tmp_path, capsys):

@@ -131,6 +131,30 @@ def test_verify_coloring(capsys, tmp_path):
     assert code == 0 and data == {"proper": True, "strong_odd": True, "colors_used": 2}
 
 
+def test_verify_options_before_the_ids(capsys, tmp_path):
+    # ids and colours after an option continue the list, in order
+    k33 = tmp_path / "k33.g6"
+    k33.write_text(to_graph6(gen.complete_bipartite(3, 3)) + "\n")
+    code, out, _ = run(capsys, "verify-coloring", str(k33), "--json", "0", "0", "0", "1", "1", "1")
+    assert code == 0 and json.loads(out) == {"proper": True, "strong_odd": True, "colors_used": 2}
+    code, out, _ = run(capsys, "verify-coloring", str(k33), "-7", "--json", "-7", "-7",
+                       "--format", "graph6", "40", "-1", "40")
+    assert code == 1 and json.loads(out) == {"proper": True, "strong_odd": False, "colors_used": 3}
+    code, out, _ = run(capsys, "verify-coloring", str(k33), "--json",
+                       "-7", "-7", "-7", "40", "40", "40")
+    assert code == 0 and json.loads(out)["strong_odd"] is True
+    petersen = tmp_path / "p.g6"
+    petersen.write_text(to_graph6(gen.petersen()) + "\n")
+    code, out, _ = run(capsys, "verify-set", str(petersen), "--json", "5", "8", "9")
+    assert code == 0 and json.loads(out)["odd_independent"] is True
+    code, out, _ = run(capsys, "verify-set", str(petersen), "5", "--json", "8", "0")
+    assert code == 1 and json.loads(out)["independent"] is False
+    # anything else left over is still a usage error
+    assert run(capsys, "verify-set", str(petersen), "--json", "5", "--bogus")[0] == 2
+    assert run(capsys, "verify-coloring", str(k33), "--json", "0", "0", "0", "1", "1", "x")[0] == 2
+    assert run(capsys, "compute", "alpha-od", str(petersen), "--json", "7")[0] == 2
+
+
 def test_bounds_exit(capsys, tmp_path):
     path = tmp_path / "p.g6"
     path.write_text(to_graph6(gen.petersen()) + "\n")

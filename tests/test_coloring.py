@@ -18,7 +18,6 @@ from oddind.coloring import (
     chi_square,
     chromatic_number,
     cube_chi_so,
-    greedy_ois_lower,
     is_proper_coloring,
     is_strong_odd_coloring,
 )
@@ -31,6 +30,7 @@ from oddind.graphs import (
     t_copies,
 )
 from oddind.independence import (
+    alpha_od,
     alpha_od_bruteforce,
     is_odd_independent,
     odd_bipartite_seed,
@@ -279,31 +279,46 @@ def test_q7_closes_at_two_above_the_cover_cap():
 
 
 def test_fallback_seed_closes_by_the_cheap_rung():
-    # the seed meets the least registry upper end: no alpha(square) solve
+    # the fallback seed is alpha_od's witness; at a spent budget the ladder
+    # meets the least registry upper end by its registry and greedy rungs
     for g, want in ((gen.hypercube(7), 64), (gen.cycle(300), 100), (gen.complete(30), 1)):
-        seed = greedy_ois_lower(g, budget=0)
-        assert len(seed) == want and is_odd_independent(g, seed)
+        res = alpha_od(g, budget=0)
+        assert res.exact and res.value == want and res.nodes == 0
+        assert len(res.witness) == want and is_odd_independent(g, res.witness)
 
 
 def test_fallback_seed_keeps_the_greedy_set_on_a_timeout():
-    # alpha(square) at a spent budget stops at one vertex; the greedy square
-    # set (64 on Q10) is larger, so it stays the seed
+    # the greedy rung runs on a spent budget too: the greedy square set (64
+    # on Q10) is the seed, where the ladder used to stop at one vertex
     g = gen.hypercube(10)
-    seed = greedy_ois_lower(g, budget=0)
-    assert len(seed) >= 64 and is_odd_independent(g, seed)
+    res = alpha_od(g, budget=0)
+    assert res.lower >= 64 and res.lower <= res.upper and not res.exact
+    assert len(res.witness) == res.value and is_odd_independent(g, res.witness)
 
 
 def test_fallback_seed_skips_the_clique_solve_on_a_spent_budget(monkeypatch):
     def no_solve(*args, **kwargs):
-        raise AssertionError("alpha(square) ran on a spent budget")
+        raise AssertionError("alpha ran on a spent budget")
 
-    monkeypatch.setattr("oddind.coloring.alpha", no_solve)
+    monkeypatch.setattr("oddind.independence.alpha", no_solve)
     g = gen.hypercube(10)
-    seed = greedy_ois_lower(g, budget=0)
-    assert len(seed) == 64 and is_odd_independent(g, seed)  # the greedy square set
+    res = alpha_od(g, budget=0)
+    assert res.value == 64 and is_odd_independent(g, res.witness)  # the greedy square set
     res = chi_so_exact(g, budget=0)
     assert not res.exact and res.upper == res.value == 1024 - 64 + 1
     assert is_strong_odd_coloring(g, res.witness)
+
+
+def test_fallback_colours_from_the_alpha_od_witness():
+    # over the cover's cap, the ladder closes these at 28, 7 and 15 within
+    # the budget: n - alpha_od + 1 classes, where the greedy and square
+    # seeds left 30, 28 and 44
+    for g, most in ((gen.complete_subdivision(8), 9), (gen.kneser(8, 2), 22),
+                    (gen.hoffman_singleton(), 36)):
+        res = chi_so_exact(g, budget=2)
+        assert res.lower <= res.upper <= most, (g.n, res.upper)
+        assert is_strong_odd_coloring(g, res.witness)
+        assert res.witness.num_colors == res.upper
 
 
 def test_star_closes_from_certified_ends():
@@ -401,7 +416,7 @@ def test_alpha2_equals_exact_on_small_cotrianglefree():
 
 def test_upper_from_partition():
     g = gen.petersen()
-    k, coloring = chi_so_upper_from_partition(g)
+    k, coloring = chi_so_upper_from_partition(g, [alpha_od(g).witness])
     assert is_strong_odd_coloring(g, coloring)
     assert k >= chi_so_exact(g).value
     # supplying explicit disjoint classes tightens the bound

@@ -83,6 +83,26 @@ def test_square_by_distance_oracle():
     assert square(gen.petersen()).edge_count() == 45  # complete
 
 
+def test_square_passes_the_checks_it_skips():
+    # oracle for the unchecked constructor: the public one accepts every
+    # square and builds an equal graph, with an equal hash
+    families = [gen.empty(0), gen.empty(4), gen.path(7), gen.cycle(9), gen.complete(6),
+                gen.star(12), gen.complete_bipartite(3, 5), gen.complete_multipartite([1, 2, 3]),
+                gen.hypercube(5), gen.kneser(7, 2), gen.petersen(), gen.hoffman_singleton(),
+                gen.half_graph(5), gen.complete_subdivision(5), gen.kbox(3, 4),
+                gen.line_graph(gen.petersen())]
+    rng = random.Random(2024)
+    for _ in range(40):
+        n, p = rng.randint(1, 40), rng.choice((0.05, 0.15, 0.5, 0.9))
+        families.append(from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if rng.random() < p]))
+    for g in families:
+        sq = square(g)
+        checked = Graph(g.n, sq.adj, sq.labels)
+        assert checked == sq and hash(checked) == hash(sq), g.adj
+        assert isinstance(sq.adj, tuple) and sq.labels == g.labels
+
+
 def test_square_p5_index_rule():
     sq = square(gen.path(5))
     for i in range(5):
@@ -251,3 +271,6 @@ def test_induced_subgraph():
     g = gen.cycle(6)
     sub, keep = g.induced(0b000111)
     assert keep == (0, 1, 2) and sub.edge_count() == 2
+    # the whole vertex set: the graph itself, no rebuild
+    whole, keep = g.induced(g.full_mask)
+    assert whole is g and keep == tuple(range(6))
