@@ -19,36 +19,32 @@ refuted for every smaller ``k``.  A bipartite component with every degree
 odd needs no search at any order: its two sides are OIS classes.
 
 Cheapest certificate first: before the 22-vertex cap and before any class
-is enumerated, a rung reads the two certified ends.  The lower end is the
-largest of 3 (a 2-colouring of a connected graph is its bipartition, which
-is strong odd only when every degree is odd), the greedy clique number,
-and ``ceil(n / u)`` for the least registry upper end ``u`` of ``alpha_od``.
-The upper end is ``n - |S| + 1`` for one verified seed ``S`` (the greedy
-square set or a registry seed, as in ``alpha_od``'s greedy rung).  When
-they meet, the component closes with ``S`` plus singleton classes and 0
-nodes; otherwise the cover starts from that lower end, which is also what
-a timeout or the cap reports.  A component the cover does not solve is
-coloured by the witness of ``alpha_od``'s ladder on it plus singletons.
+is enumerated, a rung reads the certified ends off rungs 1 and 2 of the
+component's ``alpha_od`` ladder.  The lower end is the largest of 3 (a
+2-colouring of a connected graph is its bipartition, strong odd only when
+every degree is odd), the greedy clique number, and ``ceil(n / u)`` for
+the least registry upper end ``u``.  The upper end is ``n - |S| + 1`` for
+the ladder's seed ``S`` after its greedy rung.  When they meet, the
+component closes with ``S`` plus singleton classes and 0 nodes; otherwise
+the cover starts from that lower end.  A component the cover does not
+solve is coloured by the witness of the rest of that ladder plus
+singletons, and ``ceil(n / u)`` for that ladder's upper end ``u``.
 """
 
 from __future__ import annotations
 
-import sys
 from math import ceil
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, _complement_rows, bits_of, from_edge_list, square
 from .independence import (
     _as_mask,
-    _component_alpha_od,
-    greedy_square_mask,
+    _Component,
+    _components,
     is_independent,
     is_odd_independent,
-    least_upper_bound,
-    lower_bound_seed,
     odd_bipartite_seed,
     odd_independent_set_masks,
-    registry_seeds,
 )
 from .matching import maximum_matching
 from .results import BudgetExceeded, Deadline, SolveResult, default_budget
@@ -184,22 +180,18 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline, nodes: List[int]):
 def chromatic_number(g: Graph, budget: Optional[float] = None) -> SolveResult:
     """Exact chromatic number by class backtracking per component."""
     deadline = Deadline(default_budget() if budget is None else budget)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
-    if g.n == 0:
-        return SolveResult(0, Coloring(()), "backtracking")
     total = [0] * g.n
     value = 0
     proven_lower = 0
     nodes = [0]
     exact = True
-    for comp in g.component_masks():
-        sub, keep = g.induced(comp)
+    for sub, keep, share in _components(g, deadline):
         witness = _greedy_coloring(sub)
         k = max(witness) + 1
         lb = max(_greedy_clique(sub), 1)
         try:
             while k > lb:
-                attempt = _k_colorable(sub, k - 1, deadline, nodes)
+                attempt = _k_colorable(sub, k - 1, share, nodes)
                 if attempt is None:
                     lb = k  # k-1 colors proven impossible
                     break
@@ -243,6 +235,7 @@ class _OisCover:
 
     def __init__(self, sub: Graph, deadline: Deadline):
         self.sub = sub
+        self.comp = _Component(sub)
         self.deadline = deadline
         self.lower = 2 if sub.edge_count() else 1
         self.note = ""
@@ -292,14 +285,14 @@ class _OisCover:
         sub = self.sub
         # not odd-degree bipartite (tested by the caller), so no 2-colouring
         ends = [(3, "not-odd-bipartite"), (_greedy_clique(sub), "clique")]
-        least = least_upper_bound(sub)
+        least = self.comp.least
         if least:  # alpha_od * chi_so >= n
             ends.append((ceil(sub.n / least.value), f"n/{least.anchor}"))
         self.lower, anchor = max(ends, key=lambda e: e[0])
         # a seed leaving `lower` or more vertices out cannot close: skip it
-        if self.deadline.expired() or _greedy_matching_reaches(sub, self.lower):
+        if _greedy_matching_reaches(sub, self.lower):
             return None
-        seed = lower_bound_seed(sub, greedy_square_mask(square(sub)), registry_seeds(sub))
+        seed = self.comp.greedy()
         rest = sub.full_mask ^ seed.mask
         if rest.bit_count() + 1 > self.lower:
             return None
@@ -341,27 +334,24 @@ def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
 
     Components are solved independently (classes merge across components),
     so the lower end is the largest ``k`` proven necessary in any component.
-    A component the cover does not solve (its cap or the deadline) is
-    coloured by the witness of ``alpha_od``'s ladder on it, under what is
-    left of the budget, plus singletons; the solved ones keep their
+    A component the cover does not solve (its cap or its share of the
+    budget) is coloured by the witness of ``alpha_od``'s ladder on it, under
+    what is left of that share, plus singletons; the solved ones keep their
     classes, so the upper end is the most classes any component uses.  The
     result is exact when the two ends meet.
     """
     deadline = Deadline(default_budget() if budget is None else budget)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
-    if g.n == 0:
-        return SolveResult(0, Coloring(()), "ois-partition")
     colors = [0] * g.n
     lower = upper = nodes = 0
     notes = {}  # distinct component notes, in order
-    for comp in g.component_masks():
-        sub, keep = g.induced(comp)
-        cover = _OisCover(sub, deadline)
+    for sub, keep, share in _components(g, deadline):
+        cover = _OisCover(sub, share)
         try:
             classes = cover.solve()
-        except BudgetExceeded:
-            seed = _component_alpha_od(sub, deadline).witness.mask
-            classes = [seed] + [1 << v for v in bits_of(sub.full_mask ^ seed)]
+        except BudgetExceeded:  # the ladder's witness plus singletons
+            od = cover.comp.solve(share)
+            cover.lower = max(cover.lower, ceil(sub.n / od.upper))  # alpha_od * chi_so >= n
+            classes = [od.witness.mask] + [1 << v for v in bits_of(sub.full_mask ^ od.witness.mask)]
         lower = max(lower, cover.lower)
         upper = max(upper, len(classes))
         nodes += cover.nodes

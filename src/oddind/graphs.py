@@ -53,7 +53,7 @@ class Graph:
     graphs, so sharing across threads is safe.
 
     The constructor checks every row; ``_derived`` skips the checks for
-    rows derived from a valid graph (``square``), which cannot fail them.
+    rows derived from a valid graph (``square``, ``induced``), which cannot fail them.
     """
 
     __slots__ = ("n", "adj", "labels", "_hash")
@@ -173,7 +173,7 @@ class Graph:
 
     def induced(self, mask: int) -> Tuple["Graph", Tuple[int, ...]]:
         """Subgraph induced by ``mask``; also returns old ids in new order.
-        The whole vertex set gives ``self``, with no rebuild."""
+        The whole vertex set gives ``self``; a proper subset skips the checks."""
         if mask == self.full_mask:
             return self, tuple(range(self.n))
         keep = tuple(bits_of(mask))
@@ -185,7 +185,7 @@ class Graph:
                 row |= 1 << pos[u]
             rows.append(row)
         labels = tuple(self.label(v) for v in keep) if self.labels else None
-        return Graph(len(keep), rows, labels), keep
+        return Graph._derived(len(keep), rows, labels), keep
 
 
 class VertexSet:

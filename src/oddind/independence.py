@@ -62,7 +62,7 @@ or, past the greedy rung, the deadline has expired:
 2. the greedy rung: a static-order greedy independent set of the square
    (``greedy_square_mask``), given to ``lower_bound_seed`` with the
    registry seeds, with no clique solve and 0 nodes, on a spent budget too
-   (``chi_so_exact``'s fallback colouring reads this ladder's witness);
+   (``chi_so_exact`` reads it, and the ladder's witness, off ``_Component``);
 3. the clique solves: ``alpha`` of the square gives a seed and ``alpha(g)``
    the upper end, and its maximum independent set a seed when that set is
    an OIS; or, on a claw-free graph, ``alpha`` of the square gives both,
@@ -767,59 +767,81 @@ def _slice(deadline: Deadline) -> Deadline:
     return Deadline(min(max(remaining, 0.01) / 3, 30.0) if remaining > 0 else remaining)
 
 
-def _component_alpha_od(g: Graph, deadline: Deadline) -> SolveResult:
-    """The ladder of the module docstring on a connected ``g``: each rung runs
-    only while the seed ``best`` is below ``upper`` and time is left."""
-    seeds = registry_seeds(g)
-    least = least_upper_bound(g)
-    upper, source = (floor(least.value), least.anchor) if least else (g.n, "order")
-    best = lower_bound_seed(g, 0, seeds)
-    nodes, notes, search = 0, [], None
-    if best.value < upper:  # the greedy rung, also on a spent budget
-        sq = square(g)
-        best = lower_bound_seed(g, greedy_square_mask(sq), seeds)
-    if best.value < upper and not deadline.expired():  # the clique solves
-        claw_free = _is_claw_free(g, deadline)
-        budget = _slice(deadline).remaining()
-        witness = []
-        if not claw_free:
-            res = alpha(g, budget=budget)
+class _Component:
+    """The ladder on a connected ``g``, each rung run once: rung 1 here, rung
+    2 on the first ``greedy`` (it keeps the square), rungs 3 and 4 in ``solve``."""
+
+    def __init__(self, g: Graph):
+        self.g, self.sq, self.seeds = g, None, registry_seeds(g)
+        self.least = least_upper_bound(g)
+        self.upper, self.source = ((floor(self.least.value), self.least.anchor) if self.least
+                                   else (g.n, "order"))
+        self.best = lower_bound_seed(g, 0, self.seeds)
+
+    def greedy(self) -> Bound:
+        """The best seed after the greedy rung, also on a spent budget."""
+        if self.sq is None and self.best.value < self.upper:
+            self.sq = sq = square(self.g)
+            self.best = lower_bound_seed(self.g, greedy_square_mask(sq), self.seeds)
+        return self.best
+
+    def solve(self, deadline: Deadline) -> SolveResult:
+        """Rungs 2 to 4, each only while ``best`` is below ``upper``; 3 and 4 need time left."""
+        g, upper, source = self.g, self.upper, self.source
+        nodes, notes, search = 0, [], None
+        best = self.greedy()
+        if best.value < upper and not deadline.expired():  # the clique solves
+            claw_free = _is_claw_free(g, deadline)
+            budget = _slice(deadline).remaining()
+            witness = []
+            if not claw_free:
+                res = alpha(g, budget=budget)
+                nodes += res.nodes
+                if res.upper < upper:
+                    upper, source = res.upper, "independence"
+                witness = [independence_seed(res.witness.mask)]
+            res = alpha(self.sq, budget=budget)
             nodes += res.nodes
-            if res.upper < upper:
-                upper, source = res.upper, "independence"
-            witness = [independence_seed(res.witness.mask)]
-        res = alpha(sq, budget=budget)
-        nodes += res.nodes
-        if claw_free and res.upper < upper:  # alpha_od = alpha(G^2)
-            upper, source = res.upper, "claw-free-square"
-        best = max(best, lower_bound_seed(g, res.witness.mask, witness), key=lambda b: b.value)
-    if best.value < upper and not deadline.expired():  # the search
-        search = _ois_search(g, sq, deadline, best.mask, upper)
-        search.run()
-        nodes += search.nodes
-        if search.proofs:
-            root = ""
-            if search.root:
-                least, gens = search.root
-                root = (f"{len(set(least))} orbit(s) from {len(gens)} proved generator(s) at"
-                        f" the root, {search.skipped[0]} root branch(es) skipped; ")
-            found = len(search.automorphisms)
-            notes.append(f"orbit cut: {root}groups proved at {search.proofs} node(s) from"
-                         f" {search.generators - found} pooled and {found} found generator(s),"
-                         f" {search.skipped[1]} branch(es) below the root skipped")
-        pruned, excluded, stops = search.parity
-        notes.append(f"parity closure: {pruned} node(s) pruned, {excluded} vertex(es)"
-                     f" excluded, {stops} sibling loop(s) stopped by a forced vertex")
-    mask = search.best_mask if search else best.mask
-    value = mask.bit_count()
-    exact = value >= upper or (search is not None and not search.timed_out)
-    if not exact:
-        notes.append("budget exhausted")
-    elif not search:  # a clique solve spends at least one node
-        notes.append(f"closed by {best.anchor} seed = {source}"
-                     + ("" if nodes else " (no clique solve)"))
-    return SolveResult(value, VertexSet(g.n, mask), BRANCH_BOUND, exact=exact,
-                       upper=value if exact else upper, nodes=nodes, note="; ".join(notes))
+            if claw_free and res.upper < upper:  # alpha_od = alpha(G^2)
+                upper, source = res.upper, "claw-free-square"
+            best = max(best, lower_bound_seed(g, res.witness.mask, witness), key=lambda b: b.value)
+        if best.value < upper and not deadline.expired():  # the search
+            search = _ois_search(g, self.sq, deadline, best.mask, upper)
+            search.run()
+            nodes += search.nodes
+            if search.proofs:
+                root = ""
+                if search.root:
+                    least, gens = search.root
+                    root = (f"{len(set(least))} orbit(s) from {len(gens)} proved generator(s) at"
+                            f" the root, {search.skipped[0]} root branch(es) skipped; ")
+                found = len(search.automorphisms)
+                notes.append(f"orbit cut: {root}groups proved at {search.proofs} node(s) from"
+                             f" {search.generators - found} pooled and {found} found generator(s),"
+                             f" {search.skipped[1]} branch(es) below the root skipped")
+            pruned, excluded, stops = search.parity
+            notes.append(f"parity closure: {pruned} node(s) pruned, {excluded} vertex(es)"
+                         f" excluded, {stops} sibling loop(s) stopped by a forced vertex")
+        mask = search.best_mask if search else best.mask
+        value = mask.bit_count()
+        exact = value >= upper or (search is not None and not search.timed_out)
+        if not exact:
+            notes.append("budget exhausted")
+        elif not search:  # a clique solve spends at least one node
+            notes.append(f"closed by {best.anchor} seed = {source}"
+                         + ("" if nodes else " (no clique solve)"))
+        return SolveResult(value, VertexSet(g.n, mask), BRANCH_BOUND, exact=exact,
+                           upper=value if exact else upper, nodes=nodes, note="; ".join(notes))
+
+
+def _components(g: Graph, deadline: Deadline):
+    """``(sub, keep, share)`` per component: ``share`` is what ``deadline`` has
+    left over the components left, so what one does not spend rolls over."""
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
+    comps = g.component_masks()
+    for left, comp in zip(range(len(comps), 0, -1), comps):
+        remaining = deadline.remaining()
+        yield (*g.induced(comp), deadline if remaining is None else Deadline(remaining / left))
 
 
 def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
@@ -829,13 +851,11 @@ def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
     component is solved on its own and the witnesses are merged.
     """
     deadline = Deadline(default_budget() if budget is None else budget)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
     total_mask = value = upper = nodes = 0
     exact = True
     notes = {}  # distinct component notes, in order
-    for comp in g.component_masks():
-        sub, keep = g.induced(comp)
-        res = _component_alpha_od(sub, deadline)
+    for sub, keep, share in _components(g, deadline):
+        res = _Component(sub).solve(share)
         for v in res.witness.ids():
             total_mask |= 1 << keep[v]
         value += res.value

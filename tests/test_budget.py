@@ -16,7 +16,7 @@ from oddind import generators as gen
 from oddind.cli import main
 from oddind.coloring import chi_so_exact, is_strong_odd_coloring
 from oddind.formats import to_graph6
-from oddind.graphs import cartesian_product
+from oddind.graphs import cartesian_product, disjoint_union
 from oddind.independence import alpha_od, is_odd_independent
 
 SLACK = 0.5
@@ -121,6 +121,22 @@ def test_chi_so_star_4095_spent_budget():
     assert took <= SLACK, took
     assert res.exact and res.value == 3
     assert is_strong_odd_coloring(g, res.witness) and res.witness.num_colors == 3
+
+
+def test_components_share_the_budget():
+    # each copy of Q8 gets half of what is left, and what the first does not
+    # spend rolls over: the second copy used to get only its greedy rung (16)
+    q8 = gen.hypercube(8)
+    g = disjoint_union(q8, q8)
+    res, took = _timed(lambda: alpha_od(g, budget=1))
+    assert took <= 1 + SLACK, took
+    assert is_odd_independent(g, res.witness) and res.lower <= res.upper
+    low = (1 << q8.n) - 1
+    assert (res.witness.mask & low).bit_count() >= 84  # Q8 reaches 84 within 0.05 s
+    assert (res.witness.mask >> q8.n).bit_count() >= 84
+    res, took = _timed(lambda: chi_so_exact(g, budget=1))
+    assert took <= 1 + SLACK, took
+    assert is_strong_odd_coloring(g, res.witness) and res.upper <= 256 - 84 + 1
 
 
 def test_cli_bounds_share_one_budget(tmp_path, capsys):

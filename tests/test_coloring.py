@@ -33,6 +33,7 @@ from oddind.independence import (
     alpha_od,
     alpha_od_bruteforce,
     is_odd_independent,
+    least_upper_bound,
     odd_bipartite_seed,
     odd_independent_set_masks,
 )
@@ -394,6 +395,38 @@ def test_chi_so_timeout_keeps_the_solved_components():
         assert not res.exact and (res.lower, res.upper) == (5, 21)
         assert is_strong_odd_coloring(g, res.witness)
         assert res.witness.num_colors == res.value == 21
+
+
+def test_fallback_alpha_od_raises_the_lower_end():
+    # the Moore graph's certified lower end is 3; the fallback's ladder
+    # closes alpha_od at 15, and alpha_od * chi_so >= n gives 50 / 15 -> 4
+    g = gen.hoffman_singleton()
+    res = chi_so_exact(g, budget=2)
+    assert 4 <= res.lower <= res.upper and is_strong_odd_coloring(g, res.witness)
+
+
+def test_fallback_computes_the_least_upper_end_once(monkeypatch):
+    # the certified ends and the fallback's ladder read one record per component
+    calls = []
+
+    def counting(g):
+        calls.append(g.n)
+        return least_upper_bound(g)
+
+    monkeypatch.setattr("oddind.independence.least_upper_bound", counting)
+    monkeypatch.setattr("oddind.coloring.least_upper_bound", counting, raising=False)
+    res = chi_so_exact(gen.hoffman_singleton(), budget=2)
+    assert calls == [50] and "budget exhausted" in res.note
+
+
+def test_certified_ends_close_on_a_spent_budget():
+    # the clique bound n meets n - 1 + 1 classes with no cover search and
+    # no fallback, also when the budget is spent before the rung
+    g = gen.complete(300)
+    res = chi_so_exact(g, budget=0)
+    assert res.exact and res.value == 300 and res.nodes == 0
+    assert res.note.endswith("(no cover search)")
+    assert is_strong_odd_coloring(g, res.witness)
 
 
 def test_alpha2_examples():

@@ -103,6 +103,31 @@ def test_square_passes_the_checks_it_skips():
         assert isinstance(sq.adj, tuple) and sq.labels == g.labels
 
 
+def test_induced_passes_the_checks_it_skips():
+    # oracle for the unchecked constructor: the public one accepts every
+    # component and every proper vertex subset and builds an equal graph,
+    # with an equal hash
+    families = [gen.empty(0), gen.empty(4), gen.path(7), gen.cycle(9), gen.complete(6),
+                gen.star(12), gen.complete_bipartite(3, 5), gen.complete_multipartite([1, 2, 3]),
+                gen.hypercube(5), gen.kneser(7, 2), gen.petersen(), gen.hoffman_singleton(),
+                gen.half_graph(5), gen.complete_subdivision(5), gen.kbox(3, 4),
+                gen.line_graph(gen.petersen()),
+                from_edge_list(6, [(0, 1), (1, 2), (3, 4)], labels="abcdef")]
+    rng = random.Random(2024)
+    for _ in range(40):
+        n, p = rng.randint(1, 40), rng.choice((0.05, 0.15, 0.5, 0.9))
+        families.append(from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if rng.random() < p]))
+    for g in families:
+        masks = list(g.component_masks()) + [rng.getrandbits(g.n) for _ in range(3)]
+        for mask in masks:
+            h, keep = g.induced(mask)
+            checked = Graph(h.n, h.adj, h.labels)
+            assert checked == h and hash(checked) == hash(h), (g.adj, mask)
+            assert isinstance(h.adj, tuple) and list(keep) == [v for v in range(g.n) if mask >> v & 1]
+            assert h.labels == (tuple(g.label(v) for v in keep) if g.labels else None)
+
+
 def test_square_p5_index_rule():
     sq = square(gen.path(5))
     for i in range(5):
