@@ -235,7 +235,6 @@ class _OisCover:
 
     def __init__(self, sub: Graph, deadline: Deadline):
         self.sub = sub
-        self.comp = _Component(sub)
         self.deadline = deadline
         self.lower = 2 if sub.edge_count() else 1
         self.note = ""
@@ -283,6 +282,7 @@ class _OisCover:
         lower end, then return one verified OIS seed plus singleton classes
         when ``n - |seed| + 1`` meets it, else None."""
         sub = self.sub
+        self.comp = _Component(sub)  # every BudgetExceeded comes after this rung
         # not odd-degree bipartite (tested by the caller), so no 2-colouring
         ends = [(3, "not-odd-bipartite"), (_greedy_clique(sub), "clique")]
         least = self.comp.least

@@ -768,21 +768,22 @@ def _slice(deadline: Deadline) -> Deadline:
 
 
 class _Component:
-    """The ladder on a connected ``g``, each rung run once: rung 1 here, rung
-    2 on the first ``greedy`` (it keeps the square), rungs 3 and 4 in ``solve``."""
+    """The ladder on a connected ``g``, each rung run once: rung 1's upper end here,
+    its seeds and rung 2 on the first ``greedy`` (keeping the square), 3 and 4 in ``solve``."""
 
     def __init__(self, g: Graph):
-        self.g, self.sq, self.seeds = g, None, registry_seeds(g)
-        self.least = least_upper_bound(g)
-        self.upper, self.source = ((floor(self.least.value), self.least.anchor) if self.least
-                                   else (g.n, "order"))
-        self.best = lower_bound_seed(g, 0, self.seeds)
+        self.g, self.sq, self.best = g, None, None
+        self.least = least = least_upper_bound(g)
+        self.upper, self.source = (floor(least.value), least.anchor) if least else (g.n, "order")
 
     def greedy(self) -> Bound:
         """The best seed after the greedy rung, also on a spent budget."""
-        if self.sq is None and self.best.value < self.upper:
-            self.sq = sq = square(self.g)
-            self.best = lower_bound_seed(self.g, greedy_square_mask(sq), self.seeds)
+        if self.best is None:
+            seeds = registry_seeds(self.g)
+            self.best = lower_bound_seed(self.g, 0, seeds)
+            if self.best.value < self.upper:
+                self.sq = square(self.g)
+                self.best = lower_bound_seed(self.g, greedy_square_mask(self.sq), seeds)
         return self.best
 
     def solve(self, deadline: Deadline) -> SolveResult:
@@ -835,13 +836,13 @@ class _Component:
 
 
 def _components(g: Graph, deadline: Deadline):
-    """``(sub, keep, share)`` per component: ``share`` is what ``deadline`` has
-    left over the components left, so what one does not spend rolls over."""
+    """``(sub, keep, share)`` per component, smallest first: ``share`` is what is
+    left over the components left, so the largest gets what the others left."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * g.n + 1000))
-    comps = g.component_masks()
+    comps = sorted(g.component_masks(), key=int.bit_count)
     for left, comp in zip(range(len(comps), 0, -1), comps):
-        remaining = deadline.remaining()
-        yield (*g.induced(comp), deadline if remaining is None else Deadline(remaining / left))
+        yield (*g.induced(comp), deadline if left == 1 or deadline.limit is None
+               else Deadline(deadline.remaining() / left))
 
 
 def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
@@ -856,8 +857,7 @@ def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
     notes = {}  # distinct component notes, in order
     for sub, keep, share in _components(g, deadline):
         res = _Component(sub).solve(share)
-        for v in res.witness.ids():
-            total_mask |= 1 << keep[v]
+        total_mask |= sum(1 << keep[v] for v in res.witness.ids())
         value += res.value
         upper += res.upper
         nodes += res.nodes

@@ -139,6 +139,21 @@ def test_components_share_the_budget():
     assert is_strong_odd_coloring(g, res.witness) and res.upper <= 256 - 84 + 1
 
 
+def test_small_components_pass_their_share_on():
+    # the components go smallest first: 255 isolated vertices spend nothing,
+    # so Q8 gets the whole budget; in vertex order a share by count left Q8
+    # 1/256 of it, and only its greedy rung (18)
+    q8 = gen.hypercube(8)
+    g = disjoint_union(q8, gen.empty(255))
+    res, took = _timed(lambda: alpha_od(g, budget=1))
+    assert took <= 1 + SLACK, took
+    assert is_odd_independent(g, res.witness) and res.lower <= res.upper
+    assert (res.witness.mask & ((1 << q8.n) - 1)).bit_count() >= 84
+    res, took = _timed(lambda: chi_so_exact(g, budget=1))
+    assert took <= 1 + SLACK, took
+    assert is_strong_odd_coloring(g, res.witness) and res.upper <= 256 - 84 + 1
+
+
 def test_cli_bounds_share_one_budget(tmp_path, capsys):
     # alpha_od, chi_so_exact and bound_report's alpha(square) used to take
     # the whole budget each

@@ -405,6 +405,31 @@ def test_fallback_alpha_od_raises_the_lower_end():
     assert 4 <= res.lower <= res.upper and is_strong_odd_coloring(g, res.witness)
 
 
+def test_fallback_ends_meet_on_the_ladder_witness():
+    # K_5 plus 26 independent vertices, each joined to one pair of v1..v4 so
+    # that every vi sees an even number of them: the 26 and v0 are an OIS of
+    # 27, which the greedy rung misses and the clique solve finds, so the
+    # fallback's 27 + 4 singletons meet the clique bound 5 past the cap
+    edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    for x in range(5, 31):
+        edges += [(1, x), (2, x)] if x < 19 else [(3, x), (4, x)]
+    g = from_edge_list(31, edges)
+    res = chi_so_exact(g, budget=2)
+    assert res.exact and res.value == 5 and is_strong_odd_coloring(g, res.witness)
+    assert "budget exhausted" not in res.note and "no cover search" not in res.note
+
+
+def test_fallback_upper_end_raise_closes_the_interval():
+    # the cocktail party graph K_{2,...,2} on 24 vertices: every non-edge has
+    # a common neighbour, so alpha_od = 1; the registry's 24/23 leaves the
+    # certified ends at [23, 24], and the ladder's upper end 1 raises the
+    # lower end to 24 / 1
+    g = gen.complete_multipartite([2] * 12)
+    res = chi_so_exact(g, budget=2)
+    assert res.exact and res.value == 24 and is_strong_odd_coloring(g, res.witness)
+    assert "budget exhausted" not in res.note
+
+
 def test_fallback_computes_the_least_upper_end_once(monkeypatch):
     # the certified ends and the fallback's ladder read one record per component
     calls = []
