@@ -122,8 +122,12 @@ def _greedy_coloring(g: Graph) -> List[int]:
 
 
 def _greedy_clique(g: Graph) -> int:
-    best = 0
+    """The largest clique grown greedily from a vertex; it stops at a clique
+    of a vertex and all its neighbours, as no clique is larger."""
+    best, cap = 0, max(map(int.bit_count, g.adj), default=-1) + 1
     for v in range(g.n):
+        if best == cap:
+            break
         mask = 1 << v
         cand = g.adj[v]
         while cand:

@@ -86,7 +86,7 @@ def parse_graph6(text: str) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         index = bits.find("1", index + 1)
-    return Graph(n, rows)
+    return Graph._derived(n, rows)  # symmetric and loop-free by construction
 
 
 def to_graph6(g: Graph) -> str:

@@ -1,8 +1,13 @@
 """Deterministic constructors for every graph family used by the suite.
 
-Each family documents its vertex labeling so that explicitly listed vertex
-sets (the Hoffman-Singleton 15-set, the 112 binary strings in the 8-cube)
-can be checked id-by-id:
+Every family checks its order against ``MAX_VERTICES`` before it builds an
+edge or a row.  Families given by edges go through ``from_edge_list``, which
+checks each pair; the others build their rows, right by construction,
+through ``Graph._derived`` or the operations of ``oddind.graphs``.
+
+Each family documents its vertex labeling, as an id scheme, so that
+explicitly listed vertex sets (the Hoffman-Singleton 15-set, the 112 binary
+strings in the 8-cube) can be checked id-by-id:
 
 * ``hypercube(d)``: vertex ``i`` is the binary string of ``i``, most
   significant bit first; ``i ~ j`` iff ``i ^ j`` is a power of two.
@@ -19,15 +24,16 @@ can be checked id-by-id:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 from typing import List, Sequence, Tuple
 
 from .graphs import (
     BadParam,
     Graph,
-    TooLarge,
     bits_of,
     cartesian_product,
+    check_order,
     complement,
     disjoint_union,
     from_edge_list,
@@ -51,54 +57,46 @@ __all__ = [
 def path(n: int) -> Graph:
     if n < 1:
         raise BadParam("path needs n >= 1")
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edge_list(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise BadParam("cycle needs n >= 3")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edge_list(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise BadParam("complete graph needs n >= 1")
-    return from_edge_list(n, combinations(range(n), 2))
+    return complement(empty(n))
 
 
 def empty(n: int) -> Graph:
     if n < 0:
         raise BadParam("empty graph needs n >= 0")
-    return from_edge_list(n, [])
+    return from_edge_list(n, ())
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise BadParam("complete bipartite needs both sides nonempty")
-    return from_edge_list(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return from_edge_list(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def complete_multipartite(parts: Sequence[int]) -> Graph:
     if not parts or any(p < 1 for p in parts):
         raise BadParam("every part must have size >= 1")
-    n = sum(parts)
-    starts = []
-    total = 0
-    for p in parts:
-        starts.append(total)
-        total += p
-    edges = []
-    for i, p in enumerate(parts):
-        for j in range(i + 1, len(parts)):
-            q = parts[j]
-            edges.extend((starts[i] + x, starts[j] + y) for x in range(p) for y in range(q))
-    return from_edge_list(n, edges)
+    starts = [0, *accumulate(parts)]
+    edges = ((starts[i] + x, starts[j] + y) for i, j in combinations(range(len(parts)), 2)
+             for x in range(parts[i]) for y in range(parts[j]))
+    return from_edge_list(starts[-1], edges)
 
 
 def star(n: int) -> Graph:
     if n < 1:
         raise BadParam("star needs n >= 1")
-    return from_edge_list(n, [(0, i) for i in range(1, n)])
+    return from_edge_list(n, ((0, i) for i in range(1, n)))
 
 
 @lru_cache(maxsize=None)
@@ -112,34 +110,30 @@ def hypercube(d: int) -> Graph:
         for b in range(d):
             row |= 1 << (v ^ (1 << b))
         rows[v] = row
-    labels = [format(v, f"0{d}b") if d else "" for v in range(n)]
-    return Graph(n, rows, labels)
+    return Graph._derived(n, rows)
 
 
 @lru_cache(maxsize=None)
 def kneser(n: int, k: int) -> Graph:
     if k < 1 or n < 2 * k:
         raise BadParam("Kneser graph needs k >= 1 and n >= 2k")
+    check_order(n, f"KG({n},{k})")  # C(n, k) >= n
+    count = comb(n, k)
+    check_order(count, f"KG({n},{k})")
     subsets = sorted(
         sum(1 << e for e in combo) for combo in combinations(range(n), k)
     )  # ascending mask = colexicographic order on k-subsets
-    count = len(subsets)
-    if count > 4096:
-        raise TooLarge(f"KG({n},{k}) has {count} vertices")
     rows = [0] * count
     for i, a in enumerate(subsets):
         for j in range(i + 1, count):
             if a & subsets[j] == 0:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    labels = ["{" + ",".join(str(e) for e in bits_of(m)) + "}" for m in subsets]
-    return Graph(count, rows, labels)
+    return Graph._derived(count, rows)
 
 
-@lru_cache(maxsize=None)
 def petersen() -> Graph:
-    g = kneser(5, 2)
-    return Graph(g.n, g.adj, [str(v) for v in range(g.n)])
+    return kneser(5, 2)
 
 
 # Adjacency of vertices 0..9; the rest of the graph is the closure under the
@@ -183,23 +177,21 @@ def hoffman_singleton() -> Graph:
 def half_graph(n: int) -> Graph:
     if n < 1:
         raise BadParam("half graph needs n >= 1")
-    edges = [(i, n + j) for i in range(n) for j in range(i, n)]
-    labels = [f"u{i + 1}" for i in range(n)] + [f"v{j + 1}" for j in range(n)]
-    return from_edge_list(2 * n, edges, labels)
+    return from_edge_list(2 * n, ((i, n + j) for i in range(n) for j in range(i, n)))
 
 
 def complete_subdivision(n: int) -> Graph:
     if n < 2:
         raise BadParam("complete subdivision needs n >= 2")
+    check_order(n + comb(n, 2), "complete subdivision")
     # the subdivision vertices follow the branch vertices, in pair order
-    g = subdivide_all_edges(complete(n))
-    labels = [f"v{i}" for i in range(n)] + [f"x{i},{j}" for i, j in combinations(range(n), 2)]
-    return Graph(g.n, g.adj, labels)
+    return subdivide_all_edges(complete(n))
 
 
 def kbox(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise BadParam("box product of complete graphs needs p, q >= 1")
+    check_order(p * q, "box product")
     return cartesian_product(complete(p), complete(q))
 
 
@@ -220,6 +212,7 @@ def regular_tight(d: int, t: int, bipartite: bool = False) -> Graph:
     if bipartite and t != 2:
         raise BadParam("the bipartite variant requires t = 2")
     per = 2 * d - 1
+    check_order(t * per, "regular-tight")
     edges = []
     for i in range(t):
         base = i * per
@@ -236,6 +229,7 @@ def regular_tight(d: int, t: int, bipartite: bool = False) -> Graph:
 
 def feasible_combo(n: int, k: int, case) -> Graph:
     """Constructions realizing every feasible pair alpha_od = alpha = k."""
+    check_order(n, "feasible-combo")
     case = str(case).upper()
     if case in ("1", "I"):
         if not 1 <= k <= n:
@@ -277,12 +271,13 @@ def trianglefree_diam(kind: str, *params) -> Graph:
         n, m, t = params
         if not (n >= m >= 2 and 1 <= t <= m - 1):
             raise BadParam("need n >= m >= 2 and 1 <= t <= m-1")
-        edges = [(i, n + j) for i in range(n) for j in range(m) if not (i == j and i < t)]
+        edges = ((i, n + j) for i in range(n) for j in range(m) if not (i == j and i < t))
         return from_edge_list(n + m, edges)
     if kind == "subdivided-matching":
         n, m, t = params
         if not (n >= m >= 2 and 1 <= t <= m):
             raise BadParam("need n >= m >= 2 and 1 <= t <= m")
+        check_order(n + m + t, "subdivided-matching")
         edges = [(i, n + j) for i in range(n) for j in range(m) if not (i == j and i < t)]
         for i in range(t):
             mid = n + m + i
@@ -299,17 +294,14 @@ def trianglefree_diam(kind: str, *params) -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Line graph; vertex i is the i-th edge in ``g.edges()`` order."""
+    check_order(g.edge_count(), "line graph")
     edge_list = list(g.edges())
-    m = len(edge_list)
-    rows = [0] * m
+    incident = [0] * g.n  # the edges at each vertex, as a mask of line-graph ids
     for i, (a, b) in enumerate(edge_list):
-        for j in range(i + 1, m):
-            c, d = edge_list[j]
-            if a in (c, d) or b in (c, d):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    labels = [f"{a}-{b}" for a, b in edge_list]
-    return Graph(m, rows, labels)
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    return Graph._derived(len(edge_list), [(incident[a] | incident[b]) ^ 1 << i
+                                           for i, (a, b) in enumerate(edge_list)])
 
 
 # -- family-spec parsing for the command line ----------------------------------

@@ -5,9 +5,16 @@ set exactly when ``uv`` is an edge.  Arbitrary-precision integers give
 branch-free set algebra (union/intersection/popcount) for every solver in
 this package, and a hard cap of 4096 vertices keeps rows at a sane width.
 
-Vertices are always the dense range ``0..n-1``.  Generators that promise a
-specific labeling (hypercubes, Kneser graphs, ...) attach display labels but
-never change the id scheme.
+Vertices are always the dense range ``0..n-1``; a graph is its order and its
+rows.  Generators that promise a specific labeling (hypercubes, Kneser
+graphs, ...) promise it through the id scheme.
+
+Rows are checked once, where they enter the package: ``Graph(n, rows)``
+checks the order, the width, loops and symmetry, and ``from_edge_list``
+checks each endpoint pair.  Every graph derived from checked edges or from a
+valid graph (the operations below, the generators, graph6 input) is built by
+``Graph._derived``, which checks nothing, after its order is checked against
+``MAX_VERTICES`` with ``check_order``.
 """
 
 from __future__ import annotations
@@ -46,21 +53,27 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_order(n: int, what: str = "graph") -> None:
+    """Raise ``TooLarge`` unless a graph of order ``n`` fits the cap."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise TooLarge(f"{what} needs {n} vertices, outside 0..{MAX_VERTICES}")
+
+
 class Graph:
     """Simple undirected graph on vertices ``0..n-1`` with bit-row adjacency.
 
     Instances are immutable after construction; all operations return new
     graphs, so sharing across threads is safe.
 
-    The constructor checks every row; ``_derived`` skips the checks for
-    rows derived from a valid graph (``square``, ``induced``), which cannot fail them.
+    The constructor is for rows from outside the package and checks every
+    row; ``_derived`` skips the checks for rows that are symmetric and
+    loop-free by construction, which cannot fail them.
     """
 
-    __slots__ = ("n", "adj", "labels", "_hash")
+    __slots__ = ("n", "adj", "_hash")
 
-    def __init__(self, n: int, adj: Sequence[int], labels: Optional[Sequence[str]] = None):
-        if not 0 <= n <= MAX_VERTICES:
-            raise TooLarge(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    def __init__(self, n: int, adj: Sequence[int]):
+        check_order(n)
         if len(adj) != n:
             raise BadParam(f"expected {n} adjacency rows, got {len(adj)}")
         full = (1 << n) - 1
@@ -76,16 +89,14 @@ class Graph:
                     raise BadParam(f"adjacency not symmetric at ({u}, {v})")
         self.n = n
         self.adj = rows
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise BadParam("labels length must equal vertex count")
         self._hash = hash((n, rows))
 
     @classmethod
-    def _derived(cls, n: int, rows: Sequence[int], labels: Optional[Tuple[str, ...]]) -> "Graph":
-        """A graph from rows derived from a valid graph, with no check."""
+    def _derived(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """A graph from symmetric loop-free rows, with no check, not even of
+        the order: the caller checks ``n`` before it builds the rows."""
         g = object.__new__(cls)
-        g.n, g.adj, g.labels = n, tuple(rows), labels
+        g.n, g.adj = n, tuple(rows)
         g._hash = hash((n, g.adj))
         return g
 
@@ -127,9 +138,6 @@ class Graph:
 
     def degree_sequence(self) -> Tuple[int, ...]:
         return tuple(sorted(r.bit_count() for r in self.adj))
-
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
 
     # -- traversal helpers ---------------------------------------------------
 
@@ -184,8 +192,7 @@ class Graph:
             for u in bits_of(self.adj[v] & mask):
                 row |= 1 << pos[u]
             rows.append(row)
-        labels = tuple(self.label(v) for v in keep) if self.labels else None
-        return Graph._derived(len(keep), rows, labels), keep
+        return Graph._derived(len(keep), rows), keep
 
 
 class VertexSet:
@@ -233,14 +240,14 @@ class VertexSet:
 # -- construction ------------------------------------------------------------
 
 
-def from_edge_list(n: int, edges: Iterable[Tuple[int, int]], labels=None) -> Graph:
+def from_edge_list(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     """Build a graph from (possibly repeated) endpoint pairs.
 
-    Duplicates are merged; self loops and out-of-range endpoints are
-    rejected.
+    The order is checked before the first pair is read, so ``edges`` may be
+    a lazy iterator.  Duplicates are merged; self loops and out-of-range
+    endpoints are rejected.
     """
-    if not 0 <= n <= MAX_VERTICES:
-        raise TooLarge(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    check_order(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -249,7 +256,7 @@ def from_edge_list(n: int, edges: Iterable[Tuple[int, int]], labels=None) -> Gra
             raise SelfLoop(f"self loop at {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows, labels)
+    return Graph._derived(n, rows)
 
 
 # -- unary operations ---------------------------------------------------------
@@ -261,7 +268,7 @@ def _complement_rows(g: Graph) -> list:
 
 
 def complement(g: Graph) -> Graph:
-    return Graph(g.n, _complement_rows(g), g.labels)
+    return Graph._derived(g.n, _complement_rows(g))
 
 
 def square(g: Graph) -> Graph:
@@ -272,7 +279,7 @@ def square(g: Graph) -> Graph:
         for u in bits_of(g.adj[v]):
             row |= g.adj[u]
         rows.append(row & ~(1 << v))
-    return Graph._derived(g.n, rows, g.labels)
+    return Graph._derived(g.n, rows)
 
 
 def subdivide_all_edges(g: Graph) -> Graph:
@@ -280,48 +287,39 @@ def subdivide_all_edges(g: Graph) -> Graph:
 
     New vertices follow the originals, in the order ``g.edges()`` yields.
     """
-    edges = list(g.edges())
-    n = g.n + len(edges)
-    if n > MAX_VERTICES:
-        raise TooLarge(f"subdivision needs {n} vertices")
-    out = []
-    for i, (u, v) in enumerate(edges):
-        w = g.n + i
-        out.append((u, w))
-        out.append((w, v))
-    return from_edge_list(n, out)
+    n = g.n + g.edge_count()
+    check_order(n, "subdivision")
+    rows = list(g.adj)
+    for w, (u, v) in enumerate(g.edges(), start=g.n):
+        rows[u] ^= 1 << v | 1 << w
+        rows[v] ^= 1 << u | 1 << w
+        rows.append(1 << u | 1 << v)
+    return Graph._derived(n, rows)
 
 
 # -- binary operations --------------------------------------------------------
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise TooLarge(f"union needs {n} vertices")
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    labels = None
-    if g.labels is not None or h.labels is not None:
-        labels = tuple(g.label(v) for v in range(g.n)) + tuple(h.label(v) for v in range(h.n))
-    return Graph(n, rows, labels)
+    check_order(g.n + h.n, "union")
+    return Graph._derived(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
-    u = disjoint_union(g, h)
+    check_order(g.n + h.n, "join")
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
-    rows = [u.adj[v] | (hmask if v < g.n else gmask) for v in range(u.n)]
-    return Graph(u.n, rows, u.labels)
+    rows = [row | hmask for row in g.adj] + [row << g.n | gmask for row in h.adj]
+    return Graph._derived(g.n + h.n, rows)
 
 
 def t_copies(g: Graph, t: int) -> Graph:
+    """``t`` disjoint copies of ``g``; copy ``i`` takes ids ``i*|g|`` on."""
     if t < 1:
         raise BadParam("t must be at least 1")
-    out = g
-    for _ in range(t - 1):
-        out = disjoint_union(out, g)
-    return out
+    check_order(g.n * t, "copies")
+    return Graph._derived(g.n * t, [row << i * g.n for i in range(t) for row in g.adj])
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -331,8 +329,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     perfect matchings between copies whose indices are adjacent in ``h``.
     """
     n = g.n * h.n
-    if n > MAX_VERTICES:
-        raise TooLarge(f"product needs {n} vertices")
+    check_order(n, "product")
     rows = [0] * n
     for u in range(g.n):
         base = u * h.n
@@ -344,10 +341,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
             for y in bits_of(h.adj[w]):  # fixed u, vary w
                 out |= 1 << (base + y)
             rows[base + w] = out
-    labels = None
-    if g.labels is not None or h.labels is not None:
-        labels = tuple(f"({g.label(u)},{h.label(w)})" for u in range(g.n) for w in range(h.n))
-    return Graph(n, rows, labels)
+    return Graph._derived(n, rows)
 
 
 # -- structure tests ---------------------------------------------------------

@@ -655,7 +655,12 @@ def common_neighbor_upper(g: Graph) -> Optional[Bound]:
     d = _regular_degree(g)
     if not d:
         return None
-    lam = min((g.adj[u] & g.adj[v]).bit_count() for u, v in g.edges())
+    # adjacent u, v share at least 2d - n neighbours: stop at that floor
+    floor, lam = max(0, 2 * d - g.n), d
+    for u, v in g.edges():
+        lam = min(lam, (g.adj[u] & g.adj[v]).bit_count())
+        if lam == floor:
+            break
     if (d - lam) % 2 == 0:
         return Bound(Fraction((d - lam - 1) * g.n, 2 * d - lam - 1), "common-neighbor-upper",
                      "alpha-od <= (d-L-1)n/(2d-L-1)", f"floor L={lam}, d-L even")

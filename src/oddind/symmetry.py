@@ -10,7 +10,7 @@ refinement (McKay & Piperno, "Practical graph isomorphism, II", JSC 60,
   it is equitable: every vertex of a cell has the same number of
   neighbours in each cell (``equitable`` starts from a single cell, or
   from a given ordered partition).  Every choice depends on the structure
-  alone (counts, sizes, cell positions), never on vertex labels, so an
+  alone (counts, sizes, cell positions), never on vertex ids, so an
   automorphism maps the refinement of a partition onto the refinement of
   its image, cell by cell, and the two runs write the same trace;
 * one matcher, ``_follow``, backtracks over the images of the first path

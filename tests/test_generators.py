@@ -1,3 +1,5 @@
+import time
+from itertools import combinations
 from math import comb
 
 import networkx as nx
@@ -7,11 +9,16 @@ from oddind import generators as gen
 from oddind.enumeration import are_isomorphic
 from oddind.graphs import (
     BadParam,
+    TooLarge,
     _bipartition,
     _is_claw_free,
     cartesian_product,
     diameter,
+    disjoint_union,
     is_triangle_free,
+    join,
+    subdivide_all_edges,
+    t_copies,
 )
 
 
@@ -36,7 +43,7 @@ def test_basic_families():
 
 def test_hypercube_labeling():
     q = gen.hypercube(4)
-    assert q.labels[5] == "0101"
+    assert q.neighbors(0b0101) == (0b0001, 0b0100, 0b0111, 0b1101)  # id i is string i
     for u in range(16):
         for v in range(u + 1, 16):
             assert q.has_edge(u, v) == ((u ^ v).bit_count() == 1)
@@ -50,7 +57,11 @@ def test_hypercube_labeling():
 def test_kneser():
     pg = gen.kneser(5, 2)
     assert are_isomorphic(pg, gen.petersen())
-    assert pg.labels[0] == "{0,1}"
+    # ids follow the colexicographic order of the 2-subsets: 0 is {0,1}
+    subsets = sorted((1 << a) | (1 << b) for a, b in combinations(range(5), 2))
+    assert subsets[0] == 0b11
+    assert all(pg.has_edge(i, j) == (subsets[i] & subsets[j] == 0)
+               for i in range(10) for j in range(10) if i != j)
     k62 = gen.kneser(6, 2)
     assert k62.n == 15 and all(k62.degree(v) == comb(4, 2) for v in range(15))
     # KG(2k, k) is a perfect matching
@@ -168,3 +179,40 @@ def test_parse_family():
         gen.parse_family("unknown-family 3")
     with pytest.raises(BadParam):
         gen.parse_family("mu-product [path 3] [path")
+
+
+# far over MAX_VERTICES: building any of these first would take gigabytes
+# (cycle(10**6) alone peaked near 150 MB, KG(30,15) has C(30,15) vertices)
+_OVER_CAP = {
+    "path": lambda: gen.path(10**9),
+    "cycle": lambda: gen.cycle(10**9),
+    "complete": lambda: gen.complete(10**9),
+    "empty": lambda: gen.empty(10**9),
+    "star": lambda: gen.star(10**9),
+    "complete-bipartite": lambda: gen.complete_bipartite(10**6, 10**6),
+    "complete-multipartite": lambda: gen.complete_multipartite([10**6] * 4),
+    "half-graph": lambda: gen.half_graph(10**6),
+    "kneser": lambda: gen.kneser(30, 15),
+    "kneser-wide": lambda: gen.kneser(10**6, 5 * 10**5),
+    "complete-subdivision": lambda: gen.complete_subdivision(10**5),
+    "kbox": lambda: gen.kbox(4096, 4096),
+    "regular-tight": lambda: gen.regular_tight(10**6, 10**6),
+    "feasible-combo": lambda: gen.feasible_combo(10**9, 2, "IV"),
+    "matching-deleted": lambda: gen.trianglefree_diam("matching-deleted", 10**6, 10**6, 1),
+    "subdivided-matching": lambda: gen.trianglefree_diam("subdivided-matching", 10**6, 10**6, 1),
+    # derived graphs: the order is known before the rows are built
+    "line-graph": lambda: gen.line_graph(gen.complete(100)),
+    "subdivision": lambda: subdivide_all_edges(gen.complete(100)),
+    "copies": lambda: t_copies(gen.complete(64), 65),
+    "union": lambda: disjoint_union(gen.empty(4096), gen.empty(1)),
+    "join": lambda: join(gen.empty(1), gen.empty(4096)),
+    "copies-wide": lambda: t_copies(gen.path(2), 10**9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVER_CAP))
+def test_over_cap_raises_before_building(name):
+    start = time.monotonic()
+    with pytest.raises(TooLarge):
+        _OVER_CAP[name]()
+    assert time.monotonic() - start < 0.1

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddind import generators as gen
+from oddind.formats import parse_graph6, to_graph6
 from oddind.graphs import (
     BadParam,
     Graph,
@@ -83,49 +84,70 @@ def test_square_by_distance_oracle():
     assert square(gen.petersen()).edge_count() == 45  # complete
 
 
-def test_square_passes_the_checks_it_skips():
-    # oracle for the unchecked constructor: the public one accepts every
-    # square and builds an equal graph, with an equal hash
+def _families():
     families = [gen.empty(0), gen.empty(4), gen.path(7), gen.cycle(9), gen.complete(6),
                 gen.star(12), gen.complete_bipartite(3, 5), gen.complete_multipartite([1, 2, 3]),
                 gen.hypercube(5), gen.kneser(7, 2), gen.petersen(), gen.hoffman_singleton(),
                 gen.half_graph(5), gen.complete_subdivision(5), gen.kbox(3, 4),
-                gen.line_graph(gen.petersen())]
+                gen.line_graph(gen.petersen()), from_edge_list(6, [(0, 1), (1, 2), (3, 4)])]
     rng = random.Random(2024)
     for _ in range(40):
         n, p = rng.randint(1, 40), rng.choice((0.05, 0.15, 0.5, 0.9))
         families.append(from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                            if rng.random() < p]))
-    for g in families:
-        sq = square(g)
-        checked = Graph(g.n, sq.adj, sq.labels)
-        assert checked == sq and hash(checked) == hash(sq), g.adj
-        assert isinstance(sq.adj, tuple) and sq.labels == g.labels
+    return families
+
+
+def _passes_the_checks(h):
+    # the public constructor accepts the rows and builds an equal graph,
+    # with an equal hash
+    checked = Graph(h.n, h.adj)
+    return checked == h and hash(checked) == hash(h) and isinstance(h.adj, tuple)
+
+
+def test_square_passes_the_checks_it_skips():
+    for g in _families():
+        assert _passes_the_checks(square(g)), g.adj
+
+
+_UNCHECKED = {
+    "complement": complement,
+    "union-left": lambda g: disjoint_union(g, gen.path(3)),
+    "union-right": lambda g: disjoint_union(gen.star(4), g),
+    "join-left": lambda g: join(g, gen.cycle(4)),
+    "join-right": lambda g: join(gen.empty(3), g),
+    "copies": lambda g: t_copies(g, 3),
+    "product-left": lambda g: cartesian_product(g, gen.path(3)),
+    "product-right": lambda g: cartesian_product(gen.complete(2), g),
+    "line-graph": gen.line_graph,
+    "subdivision": subdivide_all_edges,
+    "edge-list": lambda g: from_edge_list(g.n, g.edges()),
+    "graph6": lambda g: parse_graph6(to_graph6(g)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNCHECKED))
+def test_unchecked_constructor_passes_the_checks_it_skips(name):
+    # every constructor built on Graph._derived, on every family: with the
+    # family list this also covers the generators' own rows
+    for g in _families():
+        h = _UNCHECKED[name](g)
+        assert _passes_the_checks(h), (name, g.adj)
+        if name in ("edge-list", "graph6"):
+            assert h == g  # the round trips
 
 
 def test_induced_passes_the_checks_it_skips():
     # oracle for the unchecked constructor: the public one accepts every
     # component and every proper vertex subset and builds an equal graph,
     # with an equal hash
-    families = [gen.empty(0), gen.empty(4), gen.path(7), gen.cycle(9), gen.complete(6),
-                gen.star(12), gen.complete_bipartite(3, 5), gen.complete_multipartite([1, 2, 3]),
-                gen.hypercube(5), gen.kneser(7, 2), gen.petersen(), gen.hoffman_singleton(),
-                gen.half_graph(5), gen.complete_subdivision(5), gen.kbox(3, 4),
-                gen.line_graph(gen.petersen()),
-                from_edge_list(6, [(0, 1), (1, 2), (3, 4)], labels="abcdef")]
     rng = random.Random(2024)
-    for _ in range(40):
-        n, p = rng.randint(1, 40), rng.choice((0.05, 0.15, 0.5, 0.9))
-        families.append(from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                                           if rng.random() < p]))
-    for g in families:
+    for g in _families():
         masks = list(g.component_masks()) + [rng.getrandbits(g.n) for _ in range(3)]
         for mask in masks:
             h, keep = g.induced(mask)
-            checked = Graph(h.n, h.adj, h.labels)
-            assert checked == h and hash(checked) == hash(h), (g.adj, mask)
-            assert isinstance(h.adj, tuple) and list(keep) == [v for v in range(g.n) if mask >> v & 1]
-            assert h.labels == (tuple(g.label(v) for v in keep) if g.labels else None)
+            assert _passes_the_checks(h), (g.adj, mask)
+            assert list(keep) == [v for v in range(g.n) if mask >> v & 1]
 
 
 def test_square_p5_index_rule():
