@@ -7,28 +7,37 @@ alone (parity is checked against all outside vertices), so the candidate
 classes are enumerated completely per component; the parity condition is
 not hereditary, so partially built classes are never parity-tested.
 
-The cover is a decision search rather than a memoized minimum.  With
-``top`` the largest candidate class (``alpha_od`` of the component), the
-bound ``alpha_od * chi_so >= n`` makes ``ceil(n / top)`` the first ``k``
-worth trying, and ``k`` rises until the vertex set splits into ``k``
-classes.  The pivot vertex's class is chosen first, largest first, with
-three sound cuts: a mask larger than ``k * top`` fails; a class smaller
-than ``|mask| - (k - 1) * top`` leaves too much for the other classes, and
-so do all classes after it; and a mask refuted for ``k`` classes is
-refuted for every smaller ``k``.  A bipartite component with every degree
-odd needs no search at any order: its two sides are OIS classes.
+Both colouring solvers run one driver, ``_coloured``.  Each component gives
+a proven lower end and its classes, and the classes merge across components
+by index, so the lower end is the largest any component proves and the
+upper end the most classes any component uses.  The result is exact when
+the two ends meet, also when a dominated component ran out of budget.
 
-Cheapest certificate first: before the 22-vertex cap and before any class
-is enumerated, a rung reads the certified ends off rungs 1 and 2 of the
-component's ``alpha_od`` ladder.  The lower end is the largest of 3 (a
-2-colouring of a connected graph is its bipartition, strong odd only when
-every degree is odd), the greedy clique number, and ``ceil(n / u)`` for
-the least registry upper end ``u``.  The upper end is ``n - |S| + 1`` for
-the ladder's seed ``S`` after its greedy rung.  When they meet, the
-component closes with ``S`` plus singleton classes and 0 nodes; otherwise
-the cover starts from that lower end.  A component the cover does not
-solve is coloured by the witness of the rest of that ladder plus
-singletons, and ``ceil(n / u)`` for that ladder's upper end ``u``.
+``_chi_so_component`` runs its rungs in this order, cheapest first:
+
+1. an edgeless component is one class;
+2. a bipartite component with every degree odd is its two sides, as every
+   vertex sees only the other side, an odd number of times;
+3. the certified ends, read off rungs 1 and 2 of the component's
+   ``alpha_od`` ladder.  The lower end is the largest of 3 (a 2-colouring
+   of a connected graph is its bipartition, and rung 2 took the one kind
+   that is strong odd), the greedy clique number, and
+   ``ceil(n / u)`` for the least registry upper end ``u``.  The upper end
+   is ``n - |S| + 1`` for the ladder's seed ``S`` after its greedy rung.
+   When they meet, ``S`` plus singleton classes close the component with
+   0 nodes;
+4. on at most 22 vertices, the cover: a decision search from that lower
+   end.  With ``top`` the largest candidate class (``alpha_od`` of the
+   component), ``alpha_od * chi_so >= n`` makes ``ceil(n / top)`` the
+   first ``k`` worth trying, and ``k`` rises until the vertex set splits
+   into ``k`` classes.  The pivot vertex's class is chosen first, largest
+   first, with three sound cuts: a mask larger than ``k * top`` fails; a
+   class smaller than ``|mask| - (k - 1) * top`` leaves too much for the
+   other classes, and so do all classes after it; and a mask refuted for
+   ``k`` classes is refuted for every smaller ``k``;
+5. otherwise (over the cap, or out of its share of the budget) the witness
+   of the rest of the ladder plus singletons, with ``ceil(n / u)`` for that
+   ladder's upper end ``u`` as one more lower end.
 """
 
 from __future__ import annotations
@@ -106,6 +115,30 @@ def is_strong_odd_coloring(g: Graph, c) -> bool:
     return all(is_odd_independent(g, m) for m in _as_classes(g, c))
 
 
+def _coloured(g: Graph, budget: Optional[float], component, verify, method: str) -> SolveResult:
+    """The driver of both colouring solvers (module docstring): ``component(sub,
+    share)`` gives ``(lower, classes, nodes, note)`` per component."""
+    deadline = Deadline(default_budget() if budget is None else budget)
+    colors = [0] * g.n
+    lower = upper = nodes = 0
+    notes = {}  # distinct component notes, in order
+    for sub, keep, share in _components(g, deadline):
+        low, classes, count, note = component(sub, share)
+        lower, upper, nodes = max(lower, low), max(upper, len(classes)), nodes + count
+        notes.setdefault(note)
+        for ci, cmask in enumerate(classes):
+            for v in bits_of(cmask):
+                colors[keep[v]] = ci
+    witness = Coloring(colors)
+    assert verify(g, witness)
+    exact = lower == upper
+    if not exact:
+        notes.setdefault("budget exhausted")
+    return SolveResult(upper, witness, method, exact=exact, lower=lower, upper=upper,
+                       nodes=nodes, millis=deadline.elapsed_ms(),
+                       note="; ".join(n for n in notes if n))
+
+
 # -- exact chromatic number (used on squares) ----------------------------------
 
 
@@ -181,40 +214,25 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline, nodes: List[int]):
     return list(colors) if rec(0, 0) else None
 
 
+def _chromatic_component(sub: Graph, share: Deadline):
+    """Greedy colouring, then one colour fewer at a time down to the clique."""
+    witness = _greedy_coloring(sub)
+    k, lower, nodes = max(witness) + 1, max(_greedy_clique(sub), 1), [0]
+    try:
+        while k > lower:
+            attempt = _k_colorable(sub, k - 1, share, nodes)
+            if attempt is None:
+                lower = k  # k - 1 colours proven impossible
+                break
+            witness, k = attempt, k - 1
+    except BudgetExceeded:
+        pass
+    return lower, Coloring(witness).classes(), nodes[0], ""
+
+
 def chromatic_number(g: Graph, budget: Optional[float] = None) -> SolveResult:
     """Exact chromatic number by class backtracking per component."""
-    deadline = Deadline(default_budget() if budget is None else budget)
-    total = [0] * g.n
-    value = 0
-    proven_lower = 0
-    nodes = [0]
-    exact = True
-    for sub, keep, share in _components(g, deadline):
-        witness = _greedy_coloring(sub)
-        k = max(witness) + 1
-        lb = max(_greedy_clique(sub), 1)
-        try:
-            while k > lb:
-                attempt = _k_colorable(sub, k - 1, share, nodes)
-                if attempt is None:
-                    lb = k  # k-1 colors proven impossible
-                    break
-                witness = attempt
-                k -= 1
-        except BudgetExceeded:
-            exact = False
-        for i, v in enumerate(keep):
-            total[v] = witness[i]
-        value = max(value, k)
-        proven_lower = max(proven_lower, lb if exact else min(lb, k))
-    coloring = Coloring(total)
-    assert is_proper_coloring(g, coloring)
-    if exact:
-        return SolveResult(value, coloring, "backtracking", nodes=nodes[0],
-                           millis=deadline.elapsed_ms())
-    return SolveResult(value, coloring, "backtracking", exact=False,
-                       lower=proven_lower, upper=value, nodes=nodes[0],
-                       millis=deadline.elapsed_ms(), note="budget exhausted")
+    return _coloured(g, budget, _chromatic_component, is_proper_coloring, "backtracking")
 
 
 def chi_square(g: Graph, budget: Optional[float] = None) -> SolveResult:
@@ -226,22 +244,18 @@ def chi_square(g: Graph, budget: Optional[float] = None) -> SolveResult:
 
 
 class _OisCover:
-    """Decision search for one connected component: can ``mask`` be split
-    into at most ``k`` candidate OIS classes?
+    """Decision search for one connected component of at most 22 vertices:
+    can ``mask`` be split into at most ``k`` candidate OIS classes?
 
-    ``solve`` first tries the certified ends (module docstring), then
-    ``k = max(lower, ceil(n / top)), ...``, where ``top`` is the largest
-    candidate class (the component's ``alpha_od``), so ``lower`` is always
-    a proven lower bound on ``chi_so``, also when ``BudgetExceeded``
-    escapes.  ``nodes`` counts calls of ``_fits``; ``note`` names the ends
-    of a component closed before the cover.
+    ``lower`` starts at the certified lower end and rises to each ``k`` as it
+    is tried, so it stays proven also when ``BudgetExceeded`` escapes;
+    ``nodes`` counts calls of ``_fits``.
     """
 
-    def __init__(self, sub: Graph, deadline: Deadline):
+    def __init__(self, sub: Graph, deadline: Deadline, lower: int):
         self.sub = sub
         self.deadline = deadline
-        self.lower = 2 if sub.edge_count() else 1
-        self.note = ""
+        self.lower = lower
         self.nodes = 0
         self.work = 0  # weighted by the candidates each call may scan
         self.failed = {}  # mask -> largest k refuted for it
@@ -249,18 +263,6 @@ class _OisCover:
     def solve(self) -> List[int]:
         """Class masks of a minimum cover; raises ``BudgetExceeded``."""
         sub, deadline = self.sub, self.deadline
-        if sub.edge_count() == 0:
-            return [sub.full_mask]
-        # every vertex of an odd-degree bipartite component sees only the
-        # other side, an odd number of times: both sides are OIS classes
-        side = odd_bipartite_seed(sub)
-        if side:
-            return [side.mask, sub.full_mask ^ side.mask]
-        closed = self._certified_ends()
-        if closed:
-            return closed
-        if sub.n > 22:
-            raise BudgetExceeded  # partition search is meant for desk scale
         # pivot v's candidates: the classes whose lowest vertex is v
         self.by_pivot = [[] for _ in range(sub.n)]
         for m in odd_independent_set_masks(sub, deadline):
@@ -280,28 +282,6 @@ class _OisCover:
             if classes is not None:
                 return classes[::-1]
         raise AssertionError("n singleton classes always cover")
-
-    def _certified_ends(self) -> Optional[List[int]]:
-        """The rung before the cover: set ``lower`` to the largest certified
-        lower end, then return one verified OIS seed plus singleton classes
-        when ``n - |seed| + 1`` meets it, else None."""
-        sub = self.sub
-        self.comp = _Component(sub)  # every BudgetExceeded comes after this rung
-        # not odd-degree bipartite (tested by the caller), so no 2-colouring
-        ends = [(3, "not-odd-bipartite"), (_greedy_clique(sub), "clique")]
-        least = self.comp.least
-        if least:  # alpha_od * chi_so >= n
-            ends.append((ceil(sub.n / least.value), f"n/{least.anchor}"))
-        self.lower, anchor = max(ends, key=lambda e: e[0])
-        # a seed leaving `lower` or more vertices out cannot close: skip it
-        if _greedy_matching_reaches(sub, self.lower):
-            return None
-        seed = self.comp.greedy()
-        rest = sub.full_mask ^ seed.mask
-        if rest.bit_count() + 1 > self.lower:
-            return None
-        self.note = f"closed by {seed.anchor} seed = {anchor} (no cover search)"
-        return [seed.mask] + [1 << v for v in bits_of(rest)]
 
     def _fits(self, mask, k):
         """At most ``k`` classes partitioning ``mask``, the pivot's class
@@ -333,44 +313,56 @@ class _OisCover:
         return None
 
 
-def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
-    """Exact strong odd chromatic number with a witness coloring.
+def _with_singletons(sub: Graph, mask: int) -> List[int]:
+    return [mask] + [1 << v for v in bits_of(sub.full_mask ^ mask)]
 
-    Components are solved independently (classes merge across components),
-    so the lower end is the largest ``k`` proven necessary in any component.
-    A component the cover does not solve (its cap or its share of the
-    budget) is coloured by the witness of ``alpha_od``'s ladder on it, under
-    what is left of that share, plus singletons; the solved ones keep their
-    classes, so the upper end is the most classes any component uses.  The
-    result is exact when the two ends meet.
-    """
-    deadline = Deadline(default_budget() if budget is None else budget)
-    colors = [0] * g.n
-    lower = upper = nodes = 0
-    notes = {}  # distinct component notes, in order
-    for sub, keep, share in _components(g, deadline):
-        cover = _OisCover(sub, share)
+
+def _certified_ends(sub: Graph, comp: _Component):
+    """Rung 3 on a component that is not odd-degree bipartite: the largest
+    certified lower end, and the ladder's seed plus singleton classes with
+    its note when ``n - |seed| + 1`` meets that end, else None and ""."""
+    ends = [(3, "not-odd-bipartite"), (_greedy_clique(sub), "clique")]
+    least = comp.least
+    if least:  # alpha_od * chi_so >= n
+        ends.append((ceil(sub.n / least.value), f"n/{least.anchor}"))
+    lower, anchor = max(ends, key=lambda e: e[0])
+    # a seed leaving `lower` or more vertices out cannot close: skip it
+    if _greedy_matching_reaches(sub, lower):
+        return lower, None, ""
+    seed = comp.greedy()
+    if sub.n - seed.mask.bit_count() + 1 > lower:
+        return lower, None, ""
+    note = f"closed by {seed.anchor} seed = {anchor} (no cover search)"
+    return lower, _with_singletons(sub, seed.mask), note
+
+
+def _chi_so_component(sub: Graph, share: Deadline):
+    """The rungs of the module docstring, in order, on one component."""
+    if sub.edge_count() == 0:
+        return 1, [sub.full_mask], 0, ""
+    side = odd_bipartite_seed(sub)
+    if side:
+        return 2, [side.mask, sub.full_mask ^ side.mask], 0, ""
+    comp = _Component(sub)
+    lower, classes, note = _certified_ends(sub, comp)
+    if classes:
+        return lower, classes, 0, note
+    nodes = 0
+    if sub.n <= 22:  # the cover is meant for desk scale
+        cover = _OisCover(sub, share, lower)
         try:
             classes = cover.solve()
-        except BudgetExceeded:  # the ladder's witness plus singletons
-            od = cover.comp.solve(share)
-            cover.lower = max(cover.lower, ceil(sub.n / od.upper))  # alpha_od * chi_so >= n
-            classes = [od.witness.mask] + [1 << v for v in bits_of(sub.full_mask ^ od.witness.mask)]
-        lower = max(lower, cover.lower)
-        upper = max(upper, len(classes))
-        nodes += cover.nodes
-        notes.setdefault(cover.note)
-        for ci, cmask in enumerate(classes):
-            for v in bits_of(cmask):
-                colors[keep[v]] = ci
-    witness = Coloring(colors)
-    assert is_strong_odd_coloring(g, witness)
-    exact = lower == upper
-    if not exact:
-        notes.setdefault("budget exhausted")
-    return SolveResult(upper, witness, "ois-partition", exact=exact,
-                       lower=lower, upper=upper, nodes=nodes, millis=deadline.elapsed_ms(),
-                       note="; ".join(n for n in notes if n))
+            return cover.lower, classes, cover.nodes, ""
+        except BudgetExceeded:
+            lower, nodes = cover.lower, cover.nodes
+    od = comp.solve(share)
+    return max(lower, ceil(sub.n / od.upper)), _with_singletons(sub, od.witness.mask), nodes, ""
+
+
+def chi_so_exact(g: Graph, budget: Optional[float] = None) -> SolveResult:
+    """Exact strong odd chromatic number with a witness coloring, or the
+    proven interval when the budget runs out (module docstring)."""
+    return _coloured(g, budget, _chi_so_component, is_strong_odd_coloring, "ois-partition")
 
 
 def chi_so_alpha2(g: Graph) -> SolveResult:
@@ -427,7 +419,7 @@ def chi_so_upper_from_partition(g: Graph, classes: Sequence):
 def cube_chi_so(d: int) -> Tuple[int, Coloring]:
     """Strong odd chromatic number of the d-cube with an explicit witness:
     2 for odd d (the two sides of ``odd_bipartite_seed``, as in
-    ``_OisCover.solve``), 4 for even d (parity classes refined by the
+    ``_chi_so_component``), 4 for even d (parity classes refined by the
     leading coordinate)."""
     from .generators import hypercube
 

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddind import generators as gen
+from oddind import independence
+from oddind.bounds import random_connected_graph
+from oddind.cli import main
 from oddind.coloring import (
     AlphaTooLarge,
     Coloring,
-    _OisCover,
+    _certified_ends,
     chi_so_alpha2,
     chi_so_exact,
     chi_so_upper_from_partition,
@@ -21,6 +24,7 @@ from oddind.coloring import (
     is_proper_coloring,
     is_strong_odd_coloring,
 )
+from oddind.formats import to_graph6
 from oddind.graphs import (
     _is_claw_free,
     complement,
@@ -30,6 +34,7 @@ from oddind.graphs import (
     t_copies,
 )
 from oddind.independence import (
+    _Component,
     alpha_od,
     alpha_od_bruteforce,
     is_odd_independent,
@@ -37,7 +42,6 @@ from oddind.independence import (
     odd_bipartite_seed,
     odd_independent_set_masks,
 )
-from oddind.results import Deadline
 
 
 def proper_by_edges(g, colors) -> bool:
@@ -154,6 +158,21 @@ def test_chromatic_number():
     assert chromatic_number(gen.complete_bipartite(3, 4)).value == 2
     for g in (gen.path(4), gen.cycle(5), gen.complete(4), gen.star(5)):
         assert chromatic_number(g).value == brute_chromatic(g)
+
+
+def test_chromatic_number_exact_when_a_dominated_component_times_out(capsys, tmp_path):
+    # a spent budget stops the search on the big component short of its
+    # value, but K_20 alone proves 20 colours, and 20 classes hold the rest
+    g = disjoint_union(random_connected_graph(60, .5, 7), gen.complete(20))
+    res = chromatic_number(g, budget=0)
+    assert res.exact and res.value == res.lower == res.upper == 20
+    assert "budget exhausted" not in res.note
+    assert is_proper_coloring(g, res.witness) and res.witness.num_colors == 20
+    # the square of a star on 20 vertices is K_20; the other square times out
+    path = tmp_path / "g.g6"
+    path.write_text(to_graph6(disjoint_union(random_connected_graph(40, .1, 1), gen.star(20))))
+    assert main(["compute", "chi-sq", str(path), "--budget", "0"]) == 0
+    assert capsys.readouterr().out.startswith("chi-sq = 20\n")
 
 
 def test_chi_square():
@@ -345,11 +364,10 @@ def test_certified_ends_against_the_partition_oracle():
     closes = 0
     for g in graphs_upto(7) + list(all_graphs(8)):
         if not g.is_connected() or not g.edge_count() or odd_bipartite_seed(g):
-            continue  # the cover returns before the rung
-        cover = _OisCover(g, Deadline(None))
-        classes = cover._certified_ends()
+            continue  # an earlier rung closes these
+        lower, classes, _ = _certified_ends(g, _Component(g))
         want = _min_ois_partition(g)
-        assert cover.lower <= want, g.adj
+        assert lower <= want, g.adj
         if classes is not None:
             closes += 1
             assert len(classes) == want, g.adj
@@ -376,13 +394,15 @@ def test_chi_so_timeout_keeps_proven_lower_bound():
 
 def test_chi_so_exact_when_the_ends_meet_after_a_fallback():
     # a spent budget skips every cover, yet the clique bound n meets the
-    # n classes of the fallback seed plus singletons
+    # n classes of the square-independence seed plus singletons at the
+    # certified ends, before any cover or fallback
     for n in (30, 300):
         g = gen.complete(n)
         res = chi_so_exact(g, budget=0)
         assert res.exact and res.value == res.lower == res.upper == n
         assert is_strong_odd_coloring(g, res.witness) and res.witness.num_colors == n
         assert "budget exhausted" not in res.note
+        assert "no cover search" in res.note
 
 
 def test_chi_so_timeout_keeps_the_solved_components():
@@ -452,6 +472,26 @@ def test_certified_ends_close_on_a_spent_budget():
     assert res.exact and res.value == 300 and res.nodes == 0
     assert res.note.endswith("(no cover search)")
     assert is_strong_odd_coloring(g, res.witness)
+
+
+def test_the_tracer_hooks_are_called(monkeypatch):
+    # perfbench's tracer times these module globals: the cover's candidate
+    # enumeration, and the clique solves of the fallback's ladder
+    calls = []
+
+    def spy(name, orig):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("oddind.coloring.odd_independent_set_masks",
+                        spy("candidates", odd_independent_set_masks))
+    monkeypatch.setattr("oddind.independence.alpha", spy("alpha", independence.alpha))
+    assert chi_so_exact(gen.petersen()).value == 6
+    assert calls == ["candidates"]
+    assert "budget exhausted" in chi_so_exact(gen.hoffman_singleton(), budget=2).note
+    assert "alpha" in calls
 
 
 def test_alpha2_examples():
