@@ -35,7 +35,7 @@ from .independence import (
     square_seed,
     upper_bounds,
 )
-from .results import SolveResult, default_budget
+from .results import SolveResult
 
 
 class NotTriangleFree(ValueError):
@@ -93,14 +93,13 @@ class BoundReport:
         return "\n".join(lines)
 
 
-def _as_range(value, n: int) -> Tuple[int, int]:
-    """``[lower, upper]`` of an exact value, a pair or a ``SolveResult``;
-    a result with no upper end gets ``n``, which bounds both parameters."""
+def _as_range(value) -> Tuple[int, int]:
+    """``[lower, upper]`` of an exact value, a pair or a ``SolveResult``."""
     if isinstance(value, tuple):
         lo, hi = value
         return int(lo), int(hi)
     if isinstance(value, SolveResult):
-        return value.lower, value.upper if value.upper is not None else n
+        return value.lower, value.upper
     return int(value), int(value)
 
 
@@ -120,8 +119,8 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
     report = BoundReport(name or f"graph(n={n},m={g.edge_count()})")
     if n == 0:
         return report
-    a_lo, a_hi = _as_range(alpha_od_value, n)
-    c_lo, c_hi = _as_range(chi_so_value, n)
+    a_lo, a_hi = _as_range(alpha_od_value)
+    c_lo, c_hi = _as_range(chi_so_value)
     if a_hi > 0:
         # alpha_od * chi_so >= n; kept inside the given range, so that
         # inconsistent inputs still show as violations
@@ -181,7 +180,7 @@ def bound_report(g: Graph, alpha_od_value, chi_so_value,
     # once alpha-od reaches it; else solve, and a timeout leaves a range
     sq_mask, sq_hi = 0, _alpha_root_bound(sq)
     if a_lo < sq_hi:
-        sq_res = alpha(sq, budget=default_budget() if budget is None else budget)
+        sq_res = alpha(sq, budget=budget)
         sq_mask, sq_hi = sq_res.witness.mask, sq_res.upper
     sq_seed = square_seed(sq_mask)
     add(sq_seed.name, (a_lo, a_hi), ">=", (sq_seed.value, sq_hi), sq_seed.anchor)

@@ -11,7 +11,11 @@ Both colouring solvers run one driver, ``_coloured``.  Each component gives
 a proven lower end and its classes, and the classes merge across components
 by index, so the lower end is the largest any component proves and the
 upper end the most classes any component uses.  The result is exact when
-the two ends meet, also when a dominated component ran out of budget.
+the two ends meet, also when a dominated component ran out of budget.  A
+component stops once its classes are at most the lower end of the
+components before it (it cannot move the merged answer), and still reports
+its own proven lower end: the chromatic search after its greedy colouring,
+``chi_so`` once rung 3's seed fits.
 
 ``_chi_so_component`` runs its rungs in this order, cheapest first:
 
@@ -24,8 +28,8 @@ the two ends meet, also when a dominated component ran out of budget.
    that is strong odd), the greedy clique number, and
    ``ceil(n / u)`` for the least registry upper end ``u``.  The upper end
    is ``n - |S| + 1`` for the ladder's seed ``S`` after its greedy rung.
-   When they meet, ``S`` plus singleton classes close the component with
-   0 nodes;
+   When they meet, or the upper end is dominated, ``S`` plus singleton
+   classes close the component with 0 nodes;
 4. on at most 22 vertices, the cover: a decision search from that lower
    end.  With ``top`` the largest candidate class (``alpha_od`` of the
    component), ``alpha_od * chi_so >= n`` makes ``ceil(n / top)`` the
@@ -117,13 +121,14 @@ def is_strong_odd_coloring(g: Graph, c) -> bool:
 
 def _coloured(g: Graph, budget: Optional[float], component, verify, method: str) -> SolveResult:
     """The driver of both colouring solvers (module docstring): ``component(sub,
-    share)`` gives ``(lower, classes, nodes, note)`` per component."""
+    share, floor)`` gives ``(lower, classes, nodes, note)`` per component, and
+    may stop once its classes are at most ``floor``, the lower end so far."""
     deadline = Deadline(default_budget() if budget is None else budget)
     colors = [0] * g.n
     lower = upper = nodes = 0
     notes = {}  # distinct component notes, in order
     for sub, keep, share in _components(g, deadline):
-        low, classes, count, note = component(sub, share)
+        low, classes, count, note = component(sub, share, lower)
         lower, upper, nodes = max(lower, low), max(upper, len(classes)), nodes + count
         notes.setdefault(note)
         for ci, cmask in enumerate(classes):
@@ -131,12 +136,10 @@ def _coloured(g: Graph, budget: Optional[float], component, verify, method: str)
                 colors[keep[v]] = ci
     witness = Coloring(colors)
     assert verify(g, witness)
-    exact = lower == upper
-    if not exact:
+    if lower < upper:
         notes.setdefault("budget exhausted")
-    return SolveResult(upper, witness, method, exact=exact, lower=lower, upper=upper,
-                       nodes=nodes, millis=deadline.elapsed_ms(),
-                       note="; ".join(n for n in notes if n))
+    return SolveResult(witness, method, lower, upper, nodes=nodes,
+                       millis=deadline.elapsed_ms(), note="; ".join(n for n in notes if n))
 
 
 # -- exact chromatic number (used on squares) ----------------------------------
@@ -214,12 +217,13 @@ def _k_colorable(g: Graph, k: int, deadline: Deadline, nodes: List[int]):
     return list(colors) if rec(0, 0) else None
 
 
-def _chromatic_component(sub: Graph, share: Deadline):
-    """Greedy colouring, then one colour fewer at a time down to the clique."""
+def _chromatic_component(sub: Graph, share: Deadline, floor: int):
+    """Greedy colouring, then one colour fewer at a time down to the clique,
+    or down to ``floor``."""
     witness = _greedy_coloring(sub)
     k, lower, nodes = max(witness) + 1, max(_greedy_clique(sub), 1), [0]
     try:
-        while k > lower:
+        while k > max(lower, floor):
             attempt = _k_colorable(sub, k - 1, share, nodes)
             if attempt is None:
                 lower = k  # k - 1 colours proven impossible
@@ -317,26 +321,29 @@ def _with_singletons(sub: Graph, mask: int) -> List[int]:
     return [mask] + [1 << v for v in bits_of(sub.full_mask ^ mask)]
 
 
-def _certified_ends(sub: Graph, comp: _Component):
+def _certified_ends(sub: Graph, comp: _Component, floor: int):
     """Rung 3 on a component that is not odd-degree bipartite: the largest
-    certified lower end, and the ladder's seed plus singleton classes with
-    its note when ``n - |seed| + 1`` meets that end, else None and ""."""
+    certified lower end, and the ladder's seed plus singleton classes when
+    ``n - |seed| + 1`` is at most that end (with its note) or ``floor``,
+    else None and ""."""
     ends = [(3, "not-odd-bipartite"), (_greedy_clique(sub), "clique")]
     least = comp.least
     if least:  # alpha_od * chi_so >= n
         ends.append((ceil(sub.n / least.value), f"n/{least.anchor}"))
     lower, anchor = max(ends, key=lambda e: e[0])
-    # a seed leaving `lower` or more vertices out cannot close: skip it
-    if _greedy_matching_reaches(sub, lower):
+    target = max(lower, floor)
+    # a seed leaving `target` or more vertices out cannot close: skip it
+    if _greedy_matching_reaches(sub, target):
         return lower, None, ""
     seed = comp.greedy()
-    if sub.n - seed.mask.bit_count() + 1 > lower:
+    upper = sub.n - seed.mask.bit_count() + 1
+    if upper > target:
         return lower, None, ""
-    note = f"closed by {seed.anchor} seed = {anchor} (no cover search)"
+    note = f"closed by {seed.anchor} seed = {anchor} (no cover search)" if upper <= lower else ""
     return lower, _with_singletons(sub, seed.mask), note
 
 
-def _chi_so_component(sub: Graph, share: Deadline):
+def _chi_so_component(sub: Graph, share: Deadline, floor: int):
     """The rungs of the module docstring, in order, on one component."""
     if sub.edge_count() == 0:
         return 1, [sub.full_mask], 0, ""
@@ -344,7 +351,7 @@ def _chi_so_component(sub: Graph, share: Deadline):
     if side:
         return 2, [side.mask, sub.full_mask ^ side.mask], 0, ""
     comp = _Component(sub)
-    lower, classes, note = _certified_ends(sub, comp)
+    lower, classes, note = _certified_ends(sub, comp, floor)
     if classes:
         return lower, classes, 0, note
     nodes = 0
@@ -386,7 +393,7 @@ def chi_so_alpha2(g: Graph) -> SolveResult:
                 aux_edges.append((u, v))
     m = maximum_matching(from_edge_list(n, aux_edges))
     k, witness = chi_so_upper_from_partition(g, [1 << u | 1 << v for u, v in sorted(m.pairs)])
-    return SolveResult(k, witness, "alpha2-matching")
+    return SolveResult(witness, "alpha2-matching", k, k)
 
 
 def chi_so_upper_from_partition(g: Graph, classes: Sequence):

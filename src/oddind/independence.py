@@ -345,17 +345,11 @@ def alpha(g: Graph, budget: Optional[float] = None, seed=None) -> SolveResult:
         solver.seed(_relabel(seed_mask, pos))
     if g.n:  # the empty graph: 0 nodes
         solver.run()
-    exact = not solver.timed_out
-    return SolveResult(
-        value=solver.best,
-        witness=VertexSet(g.n, _relabel(solver.best_mask, order)),
-        method=BRANCH_BOUND,
-        exact=exact,
-        lower=solver.best,
-        upper=solver.best if exact else solver.root_bound,
-        nodes=solver.nodes,
-        millis=deadline.elapsed_ms(),
-    )
+    witness = VertexSet(g.n, _relabel(solver.best_mask, order))
+    assert is_independent(g, witness.mask)
+    return SolveResult(witness, BRANCH_BOUND, solver.best,
+                       solver.root_bound if solver.timed_out else solver.best,
+                       nodes=solver.nodes, millis=deadline.elapsed_ms())
 
 
 def alpha_square(g: Graph, budget: Optional[float] = None) -> SolveResult:
@@ -419,7 +413,7 @@ def alpha_od_bruteforce(g: Graph) -> SolveResult:
             continue
         if is_independent(g, mask) and _outside_parity_ok(g.adj, mask):
             best, best_mask = mask.bit_count(), mask
-    return SolveResult(best, VertexSet(g.n, best_mask), BRUTE_FORCE)
+    return SolveResult(VertexSet(g.n, best_mask), BRUTE_FORCE, best, best)
 
 
 def _cover_fits(rows, P, k) -> bool:
@@ -830,14 +824,15 @@ class _Component:
                          f" excluded, {stops} sibling loop(s) stopped by a forced vertex")
         mask = search.best_mask if search else best.mask
         value = mask.bit_count()
-        exact = value >= upper or (search is not None and not search.timed_out)
-        if not exact:
+        if search and not search.timed_out:
+            upper = value
+        if value < upper:
             notes.append("budget exhausted")
         elif not search:  # a clique solve spends at least one node
             notes.append(f"closed by {best.anchor} seed = {source}"
                          + ("" if nodes else " (no clique solve)"))
-        return SolveResult(value, VertexSet(g.n, mask), BRANCH_BOUND, exact=exact,
-                           upper=value if exact else upper, nodes=nodes, note="; ".join(notes))
+        return SolveResult(VertexSet(g.n, mask), BRANCH_BOUND, value, upper,
+                           nodes=nodes, note="; ".join(notes))
 
 
 def _components(g: Graph, deadline: Deadline):
@@ -857,19 +852,18 @@ def alpha_od(g: Graph, budget: Optional[float] = None) -> SolveResult:
     component is solved on its own and the witnesses are merged.
     """
     deadline = Deadline(default_budget() if budget is None else budget)
-    total_mask = value = upper = nodes = 0
-    exact = True
+    total_mask = lower = upper = nodes = 0
     notes = {}  # distinct component notes, in order
     for sub, keep, share in _components(g, deadline):
         res = _Component(sub).solve(share)
         total_mask |= sum(1 << keep[v] for v in res.witness.ids())
-        value += res.value
+        lower += res.lower
         upper += res.upper
         nodes += res.nodes
-        exact = exact and res.exact
         notes.setdefault(res.note)
-    return SolveResult(value, VertexSet(g.n, total_mask), BRANCH_BOUND, exact=exact,
-                       upper=upper, nodes=nodes, millis=deadline.elapsed_ms(),
+    assert is_odd_independent(g, total_mask)
+    return SolveResult(VertexSet(g.n, total_mask), BRANCH_BOUND, lower, upper,
+                       nodes=nodes, millis=deadline.elapsed_ms(),
                        note="; ".join(n for n in notes if n))
 
 
@@ -877,7 +871,8 @@ def alpha_od_bounded(g: Graph, k: int) -> SolveResult:
     """Best OIS over all subsets of size at most ``k`` (exhaustive scan).
 
     Exact exactly when the independence number is at most ``k``, which the
-    scan itself certifies by looking for an independent ``k+1``-subset.
+    scan itself certifies by looking for an independent ``k+1``-subset;
+    otherwise the upper end is the order.
     """
     from itertools import combinations
 
@@ -899,6 +894,5 @@ def alpha_od_bounded(g: Graph, k: int) -> SolveResult:
             break
     best = best_mask.bit_count()
     alpha_le_k = k >= g.n or not any(is_independent(g, m) for m in subsets(k + 1))
-    return SolveResult(best, VertexSet(g.n, best_mask), BOUNDED_K,
-                       exact=alpha_le_k, lower=best,
-                       upper=best if alpha_le_k else None, nodes=nodes)
+    return SolveResult(VertexSet(g.n, best_mask), BOUNDED_K, best,
+                       best if alpha_le_k else g.n, nodes=nodes)

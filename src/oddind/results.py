@@ -54,37 +54,38 @@ class Deadline:
 
 @dataclass
 class SolveResult:
-    """Outcome of an exact solve, or the best interval when the budget ran out.
+    """Outcome of a solve: a witness and a proven interval ``[lower, upper]``.
 
-    ``value`` is the optimum when ``exact`` and the best certified bound
-    otherwise (``lower``/``upper`` always bracket the true optimum).
+    ``value`` is the witness's size (vertices of a set, colours of a
+    colouring) and lies in the interval; ``exact`` means the interval is
+    closed, so the witness is optimal.  ``upper`` is always a number.
     """
 
-    value: int
-    witness: Optional[object]  # VertexSet or Coloring
+    witness: object  # VertexSet or Coloring
     method: str
-    exact: bool = True
-    lower: Optional[int] = None
-    upper: Optional[int] = None
+    lower: int
+    upper: int
     nodes: int = 0
     millis: int = 0
     note: str = ""
 
     def __post_init__(self):
-        if self.lower is None:
-            self.lower = self.value
-        if self.upper is None:
-            self.upper = self.value if self.exact else None
+        assert self.lower <= self.value <= self.upper, (self.lower, self.value, self.upper)
+
+    @property
+    def value(self) -> int:
+        w = self.witness
+        return len(w) if isinstance(w, VertexSet) else w.num_colors
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     def to_json(self, deterministic: bool = False) -> dict:
-        witness_ids = None
-        if isinstance(self.witness, VertexSet):
-            witness_ids = list(self.witness.ids())
-        elif self.witness is not None and hasattr(self.witness, "colors"):
-            witness_ids = list(self.witness.colors)
+        w = self.witness
         out = {
             "value": self.value,
-            "witness": witness_ids,
+            "witness": list(w.ids() if isinstance(w, VertexSet) else w.colors),
             "method": self.method,
             "exact": self.exact,
             "lower": self.lower,

@@ -68,6 +68,12 @@ def _check(item, name, expected, computed, ok=None) -> Check:
     return Check(item, name, str(expected), str(computed), bool(ok))
 
 
+def _solved(item, name, expected, res, ok=True) -> Check:
+    """``res`` reproduces the recorded ``expected`` with a closed interval."""
+    computed = res.value if res.exact else f"open, interval [{res.lower}, {res.upper}]"
+    return _check(item, name, expected, computed, ok=ok and res.exact and res.value == expected)
+
+
 def _ois_check(item, name, g, s, size) -> Check:
     """``s`` is an OIS of ``g`` with ``size`` vertices."""
     ok = is_odd_independent(g, s)
@@ -82,13 +88,9 @@ def item_paths_cycles(budget=None) -> List[Check]:
     t0 = time.monotonic()
     out = []
     for n in range(1, 19):
-        got = alpha_od(gen.path(n))
-        out.append(_check(1, f"alpha-od(P_{n})", ceil(n / 3), got.value,
-                          ok=got.exact and got.value == ceil(n / 3)))
+        out.append(_solved(1, f"alpha-od(P_{n})", ceil(n / 3), alpha_od(gen.path(n))))
     for n in range(3, 19):
-        got = alpha_od(gen.cycle(n))
-        out.append(_check(1, f"alpha-od(C_{n})", ceil((n - 2) / 3), got.value,
-                          ok=got.exact and got.value == ceil((n - 2) / 3)))
+        out.append(_solved(1, f"alpha-od(C_{n})", ceil((n - 2) / 3), alpha_od(gen.cycle(n))))
     elapsed = time.monotonic() - t0
     out.append(_check(1, "paths+cycles wall time", "< 5 s", f"{elapsed:.1f} s",
                       ok=elapsed < 5.0))
@@ -102,12 +104,8 @@ def item_petersen(budget=None) -> List[Check]:
     t0 = time.monotonic()
     g = gen.petersen()
     out = []
-    res = alpha_od(g)
-    out.append(_check(2, "alpha-od(petersen)", 3, res.value,
-                      ok=res.exact and res.value == 3))
-    cs = chi_so_exact(g)
-    out.append(_check(2, "chi-so(petersen)", 6, cs.value,
-                      ok=cs.exact and cs.value == 6))
+    out.append(_solved(2, "alpha-od(petersen)", 3, alpha_od(g)))
+    out.append(_solved(2, "chi-so(petersen)", 6, chi_so_exact(g)))
     neighborhoods = {g.adj[v] for v in range(g.n)}
     maxima = [m for m in odd_independent_set_masks(g) if m.bit_count() == 3]
     out.append(_check(2, "every maximum OIS is a neighborhood",
@@ -132,8 +130,7 @@ def item_hoffman_singleton(budget=None) -> List[Check]:
     out.append(_check(3, "15-set outside counts", "{3}", str(outside),
                       ok=outside == {3}))
     res = alpha(g, budget=300.0, seed=s15)
-    out.append(_check(3, "alpha(50-vertex Moore graph)", 15, res.value,
-                      ok=res.exact and res.value == 15))
+    out.append(_solved(3, "alpha(50-vertex Moore graph)", 15, res))
     # sandwich closes the odd independence number: 15 <= alpha_od <= alpha = 15
     out.append(_check(3, "alpha-od via sandwich", 15,
                       15 if res.exact and res.value == 15 else "open",
@@ -157,15 +154,12 @@ def item_hypercubes(budget=None) -> List[Check]:
         expect = 2 if d % 2 else 4
         ok = value == expect and is_strong_odd_coloring(gen.hypercube(d), coloring)
         out.append(_check(4, f"chi-so(Q_{d}) witness", expect, value, ok=ok))
-    r3 = alpha_od(gen.hypercube(3))
-    out.append(_check(4, "alpha-od(Q_3)", 4, r3.value, ok=r3.exact and r3.value == 4))
-    r5 = alpha_od(gen.hypercube(5))
-    out.append(_check(4, "alpha-od(Q_5)", 16, r5.value, ok=r5.exact and r5.value == 16))
+    out.append(_solved(4, "alpha-od(Q_3)", 4, alpha_od(gen.hypercube(3))))
+    out.append(_solved(4, "alpha-od(Q_5)", 16, alpha_od(gen.hypercube(5))))
     t0 = time.monotonic()
     r4 = alpha_od(gen.hypercube(4))
     dt = time.monotonic() - t0
-    out.append(_check(4, "alpha-od(Q_4) exact", 6, r4.value,
-                      ok=r4.exact and r4.value == 6 and dt < 10.0))
+    out.append(_solved(4, "alpha-od(Q_4) exact", 6, r4, ok=dt < 10.0))
     q8 = gen.hypercube(8)
     s112, s104 = q8_112_ois(), q8_turan_ois()
     out.append(_ois_check(4, "Q_8 112-set verifies", q8, s112, 112))
@@ -185,9 +179,7 @@ def item_hypercubes(budget=None) -> List[Check]:
     ub6 = even_regular_upper(q6).value.__floor__()
     out.append(_check(4, "Q_6 even-regular upper bound", 29, ub6))
     r6 = alpha_od(q6, budget=budget)
-    out.append(_check(4, "alpha-od(Q_6) exact", 24,
-                      r6.value if r6.exact else f"open, interval [{r6.lower}, {r6.upper}]",
-                      ok=r6.exact and r6.value == 24 and is_odd_independent(q6, r6.witness)))
+    out.append(_solved(4, "alpha-od(Q_6) exact", 24, r6, ok=is_odd_independent(q6, r6.witness)))
     return out
 
 
@@ -198,13 +190,11 @@ def item_subdivisions(budget=None) -> List[Check]:
     out = []
     for n, expect in [(2, 3), (3, 3), (4, 5), (5, 5)]:
         got = chi_so_exact(gen.complete_subdivision(n))
-        out.append(_check(5, f"chi-so(S(K_{n}))", expect, got.value,
-                          ok=got.exact and got.value == expect))
+        out.append(_solved(5, f"chi-so(S(K_{n}))", expect, got))
     for n in (2, 3, 4, 5):
         expect = comb(n, 2) if n % 2 == 0 else comb(n - 1, 2) + 1
         got = alpha_od(gen.complete_subdivision(n))
-        out.append(_check(5, f"alpha-od(S(K_{n}))", expect, got.value,
-                          ok=got.exact and got.value == expect))
+        out.append(_solved(5, f"alpha-od(S(K_{n}))", expect, got))
     # n = 6: all-subdivision-vertices construction meets the independence bound
     g6 = gen.complete_subdivision(6)
     subdiv = ((1 << g6.n) - 1) ^ ((1 << 6) - 1)
@@ -223,9 +213,7 @@ def item_half_graphs(budget=None) -> List[Check]:
     out = []
     for n in range(2, 6):
         g = gen.half_graph(n)
-        cs = chi_so_exact(g)
-        out.append(_check(6, f"chi-so(H_{n},{n})", n + 1, cs.value,
-                          ok=cs.exact and cs.value == n + 1))
+        out.append(_solved(6, f"chi-so(H_{n},{n})", n + 1, chi_so_exact(g)))
         res = alpha_od(g)
         maxima = [m for m in odd_independent_set_masks(g) if m.bit_count() == 2]
         def pair_form(mask):
@@ -233,10 +221,8 @@ def item_half_graphs(budget=None) -> List[Check]:
             hi = mask.bit_length() - 1
             # u_j has id j-1 < n, v_i has id n+i-1; form needs i < j
             return lo < n <= hi and (hi - n + 1) < (lo + 1)
-        ok = (res.exact and res.value == 2 and pair_form(res.witness.mask)
-              and all(pair_form(m) for m in maxima))
-        out.append(_check(6, f"alpha-od(H_{n},{n}) witnesses {{v_i,u_j}} i<j",
-                          2, res.value, ok=ok))
+        ok = pair_form(res.witness.mask) and all(pair_form(m) for m in maxima)
+        out.append(_solved(6, f"alpha-od(H_{n},{n}) witnesses {{v_i,u_j}} i<j", 2, res, ok=ok))
     return out
 
 
@@ -248,12 +234,9 @@ def item_complete_products(budget=None) -> List[Check]:
     for p, q in [(2, 3), (3, 3), (3, 4)]:
         g = gen.kbox(p, q)
         res = alpha_od(g)
-        out.append(_check(7, f"alpha-od(K_{p} box K_{q})", 1, res.value,
-                          ok=res.exact and res.value == 1))
+        out.append(_solved(7, f"alpha-od(K_{p} box K_{q})", 1, res))
         if (p, q) == (2, 3):
-            cs = chi_so_exact(g)
-            out.append(_check(7, "chi-so(K_2 box K_3) exact cross-check", 6,
-                              cs.value, ok=cs.exact and cs.value == 6))
+            out.append(_solved(7, "chi-so(K_2 box K_3) exact cross-check", 6, chi_so_exact(g)))
         else:
             # alpha_od = 1 forces chi_so = n (quotient lower + trivial upper)
             implied = g.n if res.value == 1 else None
@@ -519,8 +502,9 @@ def render(checks: Sequence[Check], deterministic: bool = False) -> str:
         lines.append(f"[{c.item:2d}] {c.name}: expected {c.expected}; "
                      f"computed {c.computed} [{status}]")
     failures = [c for c in checks if not c.ok]
+    seconds = sum({c.item: c.millis for c in checks}.values()) // 1000  # each item once
     lines.append(f"{len(checks)} checks, {len(failures)} mismatches"
-                 + ("" if deterministic else f" ({sum(c.millis for c in checks) // 1000}s)"))
+                 + ("" if deterministic else f" ({seconds}s)"))
     return "\n".join(lines)
 
 

@@ -67,10 +67,10 @@ def test_bound_report_intervals():
     names = {e.name for e in rep.entries}
     assert "alpha-od * chi-so >= n" not in names  # product range [4, 12] vs 5
     assert any("alpha-od * chi-so >= n" == n for n, _ in rep.omitted)
-    # a result with no upper end is the interval [lower, n], not exact:
+    # a scan that cannot certify alpha <= k reads the interval [lower, n]:
     # Petersen has no odd independent pair, so the scan up to 2 finds only 1
     partial = alpha_od_bounded(gen.petersen(), 2)
-    assert not partial.exact and partial.upper is None
+    assert partial.upper == 10 and not partial.exact
     rep = bound_report(gen.petersen(), partial, 6)
     assert rep.all_satisfied()
     assert ("alpha-od * chi-so >= n", "interval cannot decide") in rep.omitted

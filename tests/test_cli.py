@@ -203,3 +203,14 @@ def test_suite_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert all(c["ok"] for c in data)
+
+
+def test_suite_total_counts_each_item_time_once():
+    # every check carries its whole item's time: 4 checks of a 4.5 s item
+    # and 2 of a 1.2 s item ran 5.7 s, not 20.4 s
+    from oddind.suite import Check, render
+
+    checks = [Check(11, f"c{i}", "x", "x", True, millis=4500) for i in range(4)]
+    checks += [Check(12, f"d{i}", "x", "x", True, millis=1200) for i in range(2)]
+    assert render(checks).splitlines()[-1] == "6 checks, 0 mismatches (5s)"
+    assert render(checks, deterministic=True).splitlines()[-1] == "6 checks, 0 mismatches"

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from functools import lru_cache, reduce
 from operator import or_
 
@@ -173,6 +174,18 @@ def test_chromatic_number_exact_when_a_dominated_component_times_out(capsys, tmp
     path.write_text(to_graph6(disjoint_union(random_connected_graph(40, .1, 1), gen.star(20))))
     assert main(["compute", "chi-sq", str(path), "--budget", "0"]) == 0
     assert capsys.readouterr().out.startswith("chi-sq = 20\n")
+
+
+def test_chromatic_number_stops_a_dominated_component():
+    # K_20 (visited first, smallest first) proves 20 colours; the greedy
+    # colouring of the 60-vertex component already uses at most 20, so its
+    # search cannot move the answer and does not run
+    g = disjoint_union(random_connected_graph(60, .5, 7), gen.complete(20))
+    t0 = time.monotonic()
+    res = chromatic_number(g, budget=5)
+    assert time.monotonic() - t0 < 1.0
+    assert res.exact and res.value == 20 and res.nodes == 0
+    assert is_proper_coloring(g, res.witness)
 
 
 def test_chi_square():
@@ -365,7 +378,7 @@ def test_certified_ends_against_the_partition_oracle():
     for g in graphs_upto(7) + list(all_graphs(8)):
         if not g.is_connected() or not g.edge_count() or odd_bipartite_seed(g):
             continue  # an earlier rung closes these
-        lower, classes, _ = _certified_ends(g, _Component(g))
+        lower, classes, _ = _certified_ends(g, _Component(g), 0)
         want = _min_ois_partition(g)
         assert lower <= want, g.adj
         if classes is not None:
@@ -403,6 +416,17 @@ def test_chi_so_exact_when_the_ends_meet_after_a_fallback():
         assert is_strong_odd_coloring(g, res.witness) and res.witness.num_colors == n
         assert "budget exhausted" not in res.note
         assert "no cover search" in res.note
+
+
+def test_chi_so_stops_a_dominated_component():
+    # K_241 proves 241 classes; Q_8's ladder seed plus singletons fit in 241
+    # classes, so neither its fallback nor its clique solves run
+    g = disjoint_union(gen.complete(241), gen.hypercube(8))
+    t0 = time.monotonic()
+    res = chi_so_exact(g, budget=5)
+    assert time.monotonic() - t0 < 1.0
+    assert res.exact and res.value == 241 and res.nodes == 0
+    assert is_strong_odd_coloring(g, res.witness)
 
 
 def test_chi_so_timeout_keeps_the_solved_components():
